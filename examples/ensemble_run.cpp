@@ -1,7 +1,7 @@
 // Multi-tenant quickstart: a Poisson stream of workflow jobs sharing one
 // simulated cloud site, partitioned by the site arbiter, each job autoscaled
 // by its own WIRE controller. Prints the per-job outcome table and compares
-// the three arbiter strategies on the same stream.
+// the four arbiter strategies on the same stream.
 #include <cstdio>
 
 #include "ensemble/arbiter.h"

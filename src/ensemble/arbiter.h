@@ -84,6 +84,8 @@ struct TenantDemand {
   /// (JobEngine::remaining_budget_units); -1.0 = no budget reported, 0.0 =
   /// exhausted. Only consulted by BudgetWeighted arbitration.
   double remaining_budget_units = -1.0;
+
+  friend bool operator==(const TenantDemand&, const TenantDemand&) = default;
 };
 
 /// Site-level arbitration parameters beyond the strategy itself.
@@ -119,6 +121,9 @@ struct CheckpointGrant {
   sim::SimTime window_offset_seconds = 0.0;
   double window_length_seconds = 0.0;
   double window_period_seconds = 0.0;
+
+  friend bool operator==(const CheckpointGrant&,
+                         const CheckpointGrant&) = default;
 };
 
 /// Partitions `site_cap` among `tenants` under `strategy`. Returns one share

@@ -1,6 +1,7 @@
 #include "ensemble/driver.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -15,10 +16,12 @@ namespace wire::ensemble {
 
 namespace {
 constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
-/// Below this many open tenants the two-phase demand gather runs serially:
-/// the rows are O(1) each, so fan-out only pays off on wide sites. Purely a
-/// scheduling choice — the rows land in the same canonical slots either way.
-constexpr std::size_t kParallelDemandThreshold = 128;
+
+
+template <class T>
+void erase_slot(std::vector<T>& v, std::size_t slot) {
+  v.erase(v.begin() + static_cast<std::ptrdiff_t>(slot));
+}
 }  // namespace
 
 std::uint32_t tenant_shard(std::uint64_t shard_seed, std::uint32_t shards,
@@ -99,7 +102,6 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
   // engines must not additionally clip against a site-wide max_instances
   // they believe they own exclusively.
   cloud_.max_instances = 0;
-  shard_members_.resize(std::max(1u, options_.shards));
 }
 
 void EnsembleDriver::admit(Tenant& tenant, sim::SimTime now) {
@@ -108,17 +110,21 @@ void EnsembleDriver::admit(Tenant& tenant, sim::SimTime now) {
   tenant.engine->start();
 }
 
-void EnsembleDriver::retire(Tenant& tenant, sim::SimTime now) {
+void EnsembleDriver::retire(std::size_t slot, sim::SimTime now) {
+  Tenant& tenant = *open_[slot];
   tenant.state = Tenant::State::Done;
   tenant.completed_at = now;
   tenant.result = tenant.engine->result();
   busy_slot_seconds_ += tenant.result.busy_slot_seconds;
   allocated_instance_seconds_ += tenant.result.ready_instance_seconds;
-  const auto drop = [&tenant](std::vector<Tenant*>& v) {
-    v.erase(std::find(v.begin(), v.end(), &tenant));
-  };
-  drop(open_);
-  drop(shard_members_[tenant.shard]);
+  live_total_ -= rows_[slot].live_instances;
+  erase_slot(open_, slot);
+  erase_slot(rows_, slot);
+  erase_slot(shares_, slot);
+  erase_slot(grants_, slot);
+  erase_slot(next_at_, slot);
+  erase_slot(demand_at_, slot);
+  rows_changed_ = true;
 }
 
 void EnsembleDriver::admit_arrival(const JobArrival& a) {
@@ -135,132 +141,156 @@ void EnsembleDriver::admit_arrival(const JobArrival& a) {
   tenant->engine = std::make_unique<sim::JobEngine>(
       tenant->workflow, *tenant->policy, cloud_, run_options);
   open_.push_back(tenant.get());
-  shard_members_[tenant->shard].push_back(tenant.get());
+  rows_.emplace_back();
+  // The engine's own cap (none yet) never equals a share, so the first
+  // rebalance installs one.
+  shares_.push_back(tenant->engine->instance_cap());
+  grants_.emplace_back();
+  next_at_.push_back(kNever);
+  demand_at_.push_back(kNever);
   tenants_.push_back(std::move(tenant));
+  refresh(open_.size() - 1);
+  rows_changed_ = true;
 }
 
-void EnsembleDriver::gather_demands(std::vector<TenantDemand>& demands) const {
-  demands.resize(open_.size());
-  const auto fill = [this, &demands](std::size_t i) {
-    const Tenant& t = *open_[i];
-    TenantDemand& d = demands[i];
-    d.job = t.arrival.job;
-    d.arrival_seconds = t.arrival.arrival_seconds;
-    if (t.state == Tenant::State::Active) {
-      d.live_instances = t.engine->live_instances();
-      d.requested_pool = t.engine->requested_pool();
-      d.requested_mem_mb =
-          options_.memory_aware_demand ? t.engine->requested_mem_mb() : 0.0;
-      d.checkpoint_mb = cloud_.checkpoint.enabled()
-                            ? t.engine->checkpoint_demand_mb()
-                            : 0.0;
-      // Until the tenant's first control tick the engine still carries the
-      // -1 "not reported" sentinel; a driver-level budget fills the gap so
-      // a freshly admitted tenant bids with its full allowance instead of
-      // the unbudgeted default weight.
-      d.remaining_budget_units = t.engine->remaining_budget_units();
-      if (d.remaining_budget_units < 0.0 && options_.budget_units > 0.0) {
-        d.remaining_budget_units = options_.budget_units;
-      }
-    } else {
-      d.live_instances = 0;
-      d.requested_pool = options_.initial_instances;
-      d.requested_mem_mb = 0.0;
-      d.checkpoint_mb = 0.0;
-      d.remaining_budget_units =
-          options_.budget_units > 0.0 ? options_.budget_units : -1.0;
+TenantDemand EnsembleDriver::demand_row(const Tenant& t) const {
+  TenantDemand d;
+  d.job = t.arrival.job;
+  d.arrival_seconds = t.arrival.arrival_seconds;
+  if (t.state == Tenant::State::Active) {
+    d.live_instances = t.engine->live_instances();
+    d.requested_pool = t.engine->requested_pool();
+    d.requested_mem_mb =
+        options_.memory_aware_demand ? t.engine->requested_mem_mb() : 0.0;
+    d.checkpoint_mb =
+        cloud_.checkpoint.enabled() ? t.engine->checkpoint_demand_mb() : 0.0;
+    // Until the tenant's first control tick the engine still carries the
+    // -1 "not reported" sentinel; a driver-level budget fills the gap so a
+    // freshly admitted tenant bids with its full allowance instead of the
+    // unbudgeted default weight.
+    d.remaining_budget_units = t.engine->remaining_budget_units();
+    if (d.remaining_budget_units < 0.0 && options_.budget_units > 0.0) {
+      d.remaining_budget_units = options_.budget_units;
     }
-  };
-  if (pool_ && open_.size() >= kParallelDemandThreshold) {
-    // Phase one of the two-phase arbitration: shards fill contiguous slices
-    // of the canonical arrival-order row vector concurrently. Placement is
-    // by canonical index, so the serial merge below sees rows independent of
-    // which worker produced them.
-    const std::size_t shards = shard_members_.size();
-    const std::size_t chunk = (open_.size() + shards - 1) / shards;
-    pool_->run_batch(shards, [&](std::size_t s) {
-      const std::size_t begin = s * chunk;
-      const std::size_t end = std::min(open_.size(), begin + chunk);
-      for (std::size_t i = begin; i < end; ++i) fill(i);
-    });
   } else {
-    for (std::size_t i = 0; i < open_.size(); ++i) fill(i);
+    d.live_instances = 0;
+    d.requested_pool = options_.initial_instances;
+    d.requested_mem_mb = 0.0;
+    d.checkpoint_mb = 0.0;
+    d.remaining_budget_units =
+        options_.budget_units > 0.0 ? options_.budget_units : -1.0;
+  }
+  return d;
+}
+
+void EnsembleDriver::refresh(std::size_t slot) {
+  const Tenant& t = *open_[slot];
+  const TenantDemand row = demand_row(t);
+  TenantDemand& cached = rows_[slot];
+  if (row != cached) {
+    live_total_ = live_total_ - cached.live_instances + row.live_instances;
+    cached = row;
+    rows_changed_ = true;
+  }
+  next_at_[slot] = kNever;
+  demand_at_[slot] = kNever;
+  if (t.state != Tenant::State::Active) return;
+  if (t.engine->done()) {
+    // Finished during a local advance; retired at its completion time.
+    next_at_[slot] = t.admitted_at + t.engine->end_time();
+  } else {
+    next_at_[slot] = t.next_event_site_time();
+    demand_at_[slot] = t.next_demand_site_time();
   }
 }
 
-void EnsembleDriver::rebalance(sim::SimTime now) {
-  // Phase one: demand rows over every arrived-but-unfinished tenant, in
-  // arrival order (open_ is appended at arrival and erased at retirement, so
-  // its order is FIFO).
+void EnsembleDriver::rebalance(sim::SimTime now, bool full) {
   if (open_.empty()) return;
-  std::vector<TenantDemand> demands;
-  gather_demands(demands);
-
-  // Phase two: the serial merge — one allocation pass over the canonical
-  // rows, then cap installation and admissions in the same canonical order.
-  ArbiterConfig config;
-  config.site_cap = options_.site_cap;
-  if (options_.memory_aware_demand) {
-    config.instance_mem_mb = cloud_.memory.instance_mem_mb;
-  }
-  const std::vector<std::uint32_t> shares =
-      allocate_shares(options_.strategy, config, demands);
-
-  // Checkpoint-channel arbitration rides the same serial merge. Grants are
-  // installed on every rebalance; the engine treats an unchanged bandwidth
-  // as a strict no-op, so only genuine changes (latched checkpoint demand
-  // moved at a control tick) perturb a tenant's event stream — which keeps
-  // the sequential and windowed loops byte-identical even though the
-  // sequential loop rebalances at more points.
-  std::vector<CheckpointGrant> ckpt_grants;
-  if (cloud_.checkpoint.enabled()) {
-    ArbiterConfig ckpt_config = config;
-    ckpt_config.checkpoint_bandwidth_mb_per_s =
-        cloud_.checkpoint.channel_bandwidth_mb_per_s;
-    ckpt_config.stagger_checkpoints = options_.stagger_checkpoints;
-    ckpt_config.stagger_period_seconds =
-        options_.checkpoint_stagger_period_seconds > 0.0
-            ? options_.checkpoint_stagger_period_seconds
-            : cloud_.lag_seconds;
-    ckpt_grants = allocate_checkpoint_windows(ckpt_config, demands);
+  if (full) {
+    for (std::size_t i = 0; i < open_.size(); ++i) refresh(i);
+    rows_changed_ = true;
   }
 
-  std::uint32_t live_total = 0;
-  // Admissions mutate open_ only by state flips (no reordering), but iterate
-  // by index to stay robust.
-  for (std::size_t i = 0; i < open_.size(); ++i) {
-    Tenant& t = *open_[i];
-    t.engine->set_instance_cap(shares[i]);
-    if (t.state == Tenant::State::Waiting && shares[i] >= 1) {
-      admit(t, now);
+  // The allocation is a pure function of the rows (open_ is appended at
+  // arrival and erased at retirement, so they stay FIFO), so when no row
+  // moved since the last pass the installed shares and grants are already
+  // its answer.
+  if (rows_changed_) {
+    rows_changed_ = false;
+    ArbiterConfig config;
+    config.site_cap = options_.site_cap;
+    if (options_.memory_aware_demand) {
+      config.instance_mem_mb = cloud_.memory.instance_mem_mb;
     }
-    if (!ckpt_grants.empty() && t.state == Tenant::State::Active) {
-      // Window offsets are site-anchored; the engine clock starts at
-      // admission, so translate by -admitted_at.
-      const CheckpointGrant& g = ckpt_grants[i];
-      t.engine->set_checkpoint_channel(g.bandwidth_mb_per_s,
-                                       now - t.admitted_at);
-      t.engine->set_checkpoint_window(
-          g.window_offset_seconds - t.admitted_at, g.window_length_seconds,
-          g.window_period_seconds);
+    const std::vector<std::uint32_t> shares =
+        allocate_shares(options_.strategy, config, rows_);
+
+    std::vector<CheckpointGrant> ckpt_grants;
+    if (cloud_.checkpoint.enabled()) {
+      ArbiterConfig ckpt_config = config;
+      ckpt_config.checkpoint_bandwidth_mb_per_s =
+          cloud_.checkpoint.channel_bandwidth_mb_per_s;
+      ckpt_config.stagger_checkpoints = options_.stagger_checkpoints;
+      ckpt_config.stagger_period_seconds =
+          options_.checkpoint_stagger_period_seconds > 0.0
+              ? options_.checkpoint_stagger_period_seconds
+              : cloud_.lag_seconds;
+      ckpt_grants = allocate_checkpoint_windows(ckpt_config, rows_);
     }
-    live_total += t.engine->started() ? t.engine->live_instances() : 0;
+
+    // Installs go only where a value moved: set_instance_cap and
+    // set_checkpoint_window are plain stores and set_checkpoint_channel
+    // ignores an unchanged bandwidth, so re-installing an equal value is a
+    // no-op (the full pass still re-installs everything, as the reference
+    // always did).
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+      Tenant& t = *open_[i];
+      bool admitted = false;
+      if (full || shares[i] != shares_[i]) {
+        shares_[i] = shares[i];
+        t.engine->set_instance_cap(shares[i]);
+        // A waiting tenant's share was 0 at every earlier pass (else it
+        // would have been admitted then), so admissions only happen where
+        // the share moved.
+        if (t.state == Tenant::State::Waiting && shares[i] >= 1) {
+          admit(t, now);
+          admitted = true;
+        }
+      }
+      bool installed = false;
+      if (!ckpt_grants.empty() && t.state == Tenant::State::Active &&
+          (full || admitted || ckpt_grants[i] != grants_[i])) {
+        // Window offsets are site-anchored; the engine clock starts at
+        // admission, so translate by -admitted_at.
+        const CheckpointGrant& g = ckpt_grants[i];
+        grants_[i] = g;
+        t.engine->set_checkpoint_channel(g.bandwidth_mb_per_s,
+                                         now - t.admitted_at);
+        t.engine->set_checkpoint_window(
+            g.window_offset_seconds - t.admitted_at, g.window_length_seconds,
+            g.window_period_seconds);
+        installed = true;
+      }
+      // Starting an engine, or a bandwidth change re-arming its checkpoint
+      // guard, schedules events: re-key the tenant and re-read its row.
+      if (admitted || installed) refresh(i);
+    }
   }
-  WIRE_CHECK(live_total <= options_.site_cap,
+  WIRE_CHECK(live_total_ <= options_.site_cap,
              "tenants exceed the shared site cap");
 
   if (site_listener_) {
     SiteSample sample;
     sample.now = now;
     sample.site_cap = options_.site_cap;
-    sample.live_total = live_total;
-    for (std::size_t i = 0; i < open_.size(); ++i) {
-      sample.jobs.push_back(open_[i]->arrival.job);
-      sample.live.push_back(open_[i]->engine->started()
-                                ? open_[i]->engine->live_instances()
-                                : 0);
-      sample.shares.push_back(shares[i]);
+    sample.live_total = live_total_;
+    sample.jobs.reserve(open_.size());
+    sample.live.reserve(open_.size());
+    for (const TenantDemand& row : rows_) {
+      sample.jobs.push_back(row.job);
+      sample.live.push_back(row.live_instances);
     }
+    sample.shares = shares_;
     site_listener_(sample);
   }
 }
@@ -282,8 +312,10 @@ double EnsembleDriver::dedicated_makespan(const Tenant& tenant) {
 
 void EnsembleDriver::run_sequential_loop() {
   // The historical reference loop: pop one site event at a time, in global
-  // time order, scanning every tenant per event. Kept verbatim behind
-  // shards == 0 as the byte-identity oracle for the windowed engine.
+  // time order, scanning every tenant per event and re-reading and
+  // re-installing every row at every rebalance. Kept behind shards == 0 as
+  // the byte-identity oracle for the windowed engine's cached keys and
+  // incremental rebalance.
   std::size_t next_arrival = 0;
   const std::vector<JobArrival>& stream = arrivals_.jobs();
 
@@ -294,17 +326,18 @@ void EnsembleDriver::run_sequential_loop() {
     const sim::SimTime arrival_time = next_arrival < stream.size()
                                           ? stream[next_arrival].arrival_seconds
                                           : kNever;
-    Tenant* next_tenant = nullptr;
+    std::size_t next_slot = open_.size();
     sim::SimTime tenant_time = kNever;
-    for (const std::unique_ptr<Tenant>& t : tenants_) {
-      if (t->state != Tenant::State::Active) continue;
-      const sim::SimTime when = t->next_event_site_time();
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+      const Tenant& t = *open_[i];
+      if (t.state != Tenant::State::Active) continue;
+      const sim::SimTime when = t.next_event_site_time();
       if (when < tenant_time) {
         tenant_time = when;
-        next_tenant = t.get();
+        next_slot = i;
       }
     }
-    if (arrival_time == kNever && next_tenant == nullptr) break;
+    if (arrival_time == kNever && next_slot == open_.size()) break;
 
     const sim::SimTime now = std::min(arrival_time, tenant_time);
     if (now > options_.max_sim_seconds) {
@@ -315,25 +348,26 @@ void EnsembleDriver::run_sequential_loop() {
     if (arrival_time <= tenant_time) {
       admit_arrival(stream[next_arrival++]);
     } else {
-      next_tenant->engine->step();
-      if (next_tenant->engine->done()) {
-        retire(*next_tenant, now);
-      }
+      sim::JobEngine& engine = *open_[next_slot]->engine;
+      engine.step();
+      if (engine.done()) retire(next_slot, now);
     }
     // Rebalance after every event: demands move on control ticks, floors
     // move on boots/releases, and retirements free whole shares.
-    rebalance(now);
+    rebalance(now, /*full=*/true);
   }
 }
 
 void EnsembleDriver::run_windowed_loop() {
   std::size_t next_arrival = 0;
   const std::vector<JobArrival>& stream = arrivals_.jobs();
-  const std::size_t shards = shard_members_.size();
+  const std::uint32_t shards = std::max(1u, options_.shards);
   if (shards > 1) {
     pool_ = std::make_unique<util::ThreadPool>(options_.threads);
   }
   const sim::SimTime max = options_.max_sim_seconds;
+  // Slots of the tenants each shard advances this window, in arrival order.
+  std::vector<std::vector<std::size_t>> due(shards);
 
   for (;;) {
     const sim::SimTime arrival_time = next_arrival < stream.size()
@@ -342,37 +376,42 @@ void EnsembleDriver::run_windowed_loop() {
 
     // Horizon: the earliest pending event that can change any tenant's
     // demand state or read its cap. Everything strictly below it is local to
-    // one engine and commutes across tenants.
+    // one engine and commutes across tenants. Keys are cached per slot and
+    // +inf for tenants that are not running.
     sim::SimTime horizon = arrival_time;
-    bool advance_pending = false;
-    for (const Tenant* t : open_) {
-      if (t->state != Tenant::State::Active || t->engine->done()) continue;
-      horizon = std::min(horizon, t->next_demand_site_time());
+    for (const sim::SimTime when : demand_at_) {
+      horizon = std::min(horizon, when);
     }
-    for (const Tenant* t : open_) {
-      if (t->state != Tenant::State::Active || t->engine->done()) continue;
-      const sim::SimTime when = t->next_event_site_time();
-      if (when < horizon && when <= max) {
+
+    // Due tenants: running engines with a local event below the horizon (a
+    // finished engine awaiting retirement keeps its completion time as key).
+    bool advance_pending = false;
+    for (std::vector<std::size_t>& slots : due) slots.clear();
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+      if (next_at_[i] < horizon && next_at_[i] <= max &&
+          !open_[i]->engine->done()) {
+        due[open_[i]->shard].push_back(i);
         advance_pending = true;
-        break;
       }
     }
 
     if (advance_pending) {
-      // Parallel phase: every shard advances its engines through their local
-      // events strictly below the horizon. Local handlers never touch caps
-      // or demand, so this is byte-equivalent to processing the same events
-      // interleaved in global time order.
+      // Parallel phase: every shard advances its due engines through their
+      // local events strictly below the horizon. Local handlers never touch
+      // caps or demand, so this is byte-equivalent to processing the same
+      // events interleaved in global time order.
       const auto advance_shard = [&](std::size_t s) {
-        for (Tenant* t : shard_members_[s]) {
-          if (t->state != Tenant::State::Active) continue;
-          sim::JobEngine& engine = *t->engine;
+        for (const std::size_t i : due[s]) {
+          const Tenant& t = *open_[i];
+          sim::JobEngine& engine = *t.engine;
+          WIRE_CHECK(t.next_event_site_time() == next_at_[i],
+                     "stale cached event key");
           while (!engine.done()) {
-            const sim::SimTime when = t->next_event_site_time();
+            const sim::SimTime when = t.next_event_site_time();
             if (when >= horizon || when > max) break;
             engine.step();
           }
-          WIRE_CHECK(engine.done() || t->next_demand_site_time() >= horizon,
+          WIRE_CHECK(engine.done() || t.next_demand_site_time() >= horizon,
                      "local advance crossed a demand-relevant event");
         }
       };
@@ -381,6 +420,9 @@ void EnsembleDriver::run_windowed_loop() {
       } else {
         advance_shard(0);
       }
+      for (const std::vector<std::size_t>& slots : due) {
+        for (const std::size_t i : slots) refresh(i);
+      }
     }
 
     // Serial phase: exactly one site action — the earliest among the next
@@ -388,19 +430,15 @@ void EnsembleDriver::run_windowed_loop() {
     // parallel phase, at their completion times), and tracked tenant events
     // (all >= horizon now). Ties: arrivals first, then lowest tenant index —
     // the same total order the sequential reference scan induces.
-    Tenant* next_tenant = nullptr;
+    std::size_t next_slot = open_.size();
     sim::SimTime tenant_time = kNever;
-    for (Tenant* t : open_) {
-      if (t->state != Tenant::State::Active) continue;
-      const sim::SimTime when = t->engine->done()
-                                    ? t->admitted_at + t->engine->end_time()
-                                    : t->next_event_site_time();
-      if (when < tenant_time) {
-        tenant_time = when;
-        next_tenant = t;
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+      if (next_at_[i] < tenant_time) {
+        tenant_time = next_at_[i];
+        next_slot = i;
       }
     }
-    if (arrival_time == kNever && next_tenant == nullptr) break;
+    if (arrival_time == kNever && next_slot == open_.size()) break;
 
     const sim::SimTime now = std::min(arrival_time, tenant_time);
     if (now > max) {
@@ -410,15 +448,21 @@ void EnsembleDriver::run_windowed_loop() {
 
     if (arrival_time <= tenant_time) {
       admit_arrival(stream[next_arrival++]);
-    } else if (next_tenant->engine->done()) {
-      retire(*next_tenant, now);
     } else {
-      next_tenant->engine->step();
-      if (next_tenant->engine->done()) {
-        retire(*next_tenant, now);
+      const Tenant& t = *open_[next_slot];
+      sim::JobEngine& engine = *t.engine;
+      if (!engine.done()) {
+        WIRE_CHECK(t.next_event_site_time() == tenant_time,
+                   "stale cached event key");
+        engine.step();
+      }
+      if (engine.done()) {
+        retire(next_slot, now);
+      } else {
+        refresh(next_slot);
       }
     }
-    rebalance(now);
+    rebalance(now, /*full=*/false);
   }
 
   pool_.reset();
@@ -440,7 +484,7 @@ EnsembleReport EnsembleDriver::assemble_report() {
   // in its tenant's slot, so assembly below is order-independent.
   std::vector<double> dedicated(tenants_.size(), 0.0);
   if (options_.dedicated_baseline) {
-    const std::size_t shards = shard_members_.size();
+    const std::uint32_t shards = std::max(1u, options_.shards);
     if (parallel_safe_factory_ && shards > 1) {
       util::ThreadPool pool(options_.threads);
       pool.run_batch(shards, [&](std::size_t s) {

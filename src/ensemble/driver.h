@@ -35,11 +35,25 @@
 // count (EnsembleOptions::shards == 0 keeps that reference loop;
 // tests/test_ensemble_sharded.cpp proves the equivalence differentially).
 //
-// Arbitration is two-phase under sharding: per-tenant demand rows are
-// gathered in parallel into canonical arrival-order slots, then one serial
-// merge runs allocate_shares over the canonically ordered rows — so the
-// allocation arithmetic and its (arrival, job id) tie-breaks never depend on
-// shard or thread count.
+// Incremental serial phase: the driver keeps, in flat vectors parallel to
+// the FIFO list of open tenants, each tenant's arbiter row (TenantDemand),
+// its installed share and checkpoint grant, and its cached site-clock keys
+// (next event, next demand-relevant event). A tenant's row and keys are
+// re-read only when its engine state moved: it stepped (in the parallel
+// advance or at the serial event), arrived, was admitted, or had a
+// checkpoint grant installed. The horizon, due-tenant and next-tenant
+// selections are then passes over contiguous doubles, and the advance
+// visits only due tenants. A rebalance with no changed row (and no arrival
+// or retirement) skips allocate_shares, the checkpoint grants and every
+// install — the allocation is a pure function of the rows — and emits its
+// SiteSample from the cached shares; otherwise it installs caps and grants
+// only where they moved. Rule for anyone adding an install: if it can
+// schedule an engine event (set_checkpoint_channel re-arms the checkpoint
+// guard), the tenant must be re-keyed right after it, or the cached keys go
+// stale. The rows stay in arrival order, so the allocation arithmetic and
+// its (arrival, job id) tie-breaks never depend on shard or thread count.
+// The shards == 0 reference re-reads and re-installs every row at every
+// event, which makes it the oracle for this bookkeeping.
 //
 // Policy-state sharing: tenant policies plan() only at serial points (control
 // ticks), so even a PolicyFactory that shares one core::PlanScratch across
@@ -56,6 +70,7 @@
 // capacity invariant are identical at the shared points.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -106,8 +121,8 @@ struct EnsembleOptions {
   bool dedicated_baseline = true;
   /// Tenant shards for the windowed parallel engine. 0 = the legacy fully
   /// sequential reference loop; 1 = windowed engine, single shard (no
-  /// threads spawned); >= 2 = parallel shard advance + two-phase
-  /// arbitration. The EnsembleReport is byte-identical across all values.
+  /// threads spawned); >= 2 = parallel shard advance. The EnsembleReport is
+  /// byte-identical across all values.
   std::uint32_t shards = 1;
   /// Worker threads backing the shard pool (0 = hardware concurrency).
   /// Never affects results, only wall-clock.
@@ -192,9 +207,16 @@ class EnsembleDriver {
   struct Tenant;
 
   void admit(Tenant& tenant, sim::SimTime now);
-  void retire(Tenant& tenant, sim::SimTime now);
-  void rebalance(sim::SimTime now);
-  void gather_demands(std::vector<TenantDemand>& demands) const;
+  /// Retires the tenant in open_[slot] and drops its slot everywhere.
+  void retire(std::size_t slot, sim::SimTime now);
+  /// Allocates and installs shares (and checkpoint grants) when a row
+  /// changed, then emits the SiteSample. `full` re-reads and re-installs
+  /// every row regardless (the reference loop's semantics).
+  void rebalance(sim::SimTime now, bool full);
+  /// The arbiter's view of one tenant right now.
+  TenantDemand demand_row(const Tenant& tenant) const;
+  /// Re-reads open_[slot]'s row and event keys after its engine moved.
+  void refresh(std::size_t slot);
   void admit_arrival(const JobArrival& a);
   void run_sequential_loop();
   void run_windowed_loop();
@@ -211,11 +233,23 @@ class EnsembleDriver {
   EnsembleOptions options_;
   std::function<void(const SiteSample&)> site_listener_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  /// Arrived, not yet retired tenants in arrival order (the serial scan
-  /// set), and the per-shard partition of the same set (the parallel
-  /// advance set). Maintained at arrival admission/retirement.
+  /// Arrived, not yet retired tenants in arrival order (FIFO, the order the
+  /// arbiter's tie-breaks use). Appended at arrival, erased at retirement.
   std::vector<Tenant*> open_;
-  std::vector<std::vector<Tenant*>> shard_members_;
+  /// Parallel to open_: the last-read arbiter row, the installed share and
+  /// checkpoint grant, the site time of the next event (a finished engine's
+  /// completion time; +inf while waiting) and of the next demand-relevant
+  /// event (+inf unless running).
+  std::vector<TenantDemand> rows_;
+  std::vector<std::uint32_t> shares_;
+  std::vector<CheckpointGrant> grants_;
+  std::vector<sim::SimTime> next_at_;
+  std::vector<sim::SimTime> demand_at_;
+  /// A row changed, or a tenant arrived or retired, since the last
+  /// allocation.
+  bool rows_changed_ = false;
+  /// Sum of rows_[i].live_instances: live instances across the site.
+  std::uint32_t live_total_ = 0;
   /// Worker pool for the windowed engine; null unless shards >= 2.
   std::unique_ptr<util::ThreadPool> pool_;
   double busy_slot_seconds_ = 0.0;

@@ -529,6 +529,7 @@ void JobEngine::set_checkpoint_channel(double bandwidth_mb_per_s, SimTime now) {
       bandwidth_mb_per_s == ckpt_bandwidth_) {
     return;  // no-op installs must not perturb the event stream
   }
+  now = std::max(now, queue_.last_popped_time());
   // In-flight writes ran at the old rate until now; the guard must be
   // re-armed because the projected earliest completion changed.
   advance_ckpt_writes(now);

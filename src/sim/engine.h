@@ -114,8 +114,11 @@ class JobEngine {
   /// Installs the effective checkpoint-channel bandwidth this tenant may use
   /// (a site arbiter's share of CheckpointConfig::channel_bandwidth_mb_per_s).
   /// `now` is engine-local time; in-flight writes are advanced at the old
-  /// rate before the switch. No-op if the value is unchanged, so callers may
-  /// re-install every rebalance without perturbing the event stream.
+  /// rate before the switch. A `now` behind the engine's own clock (a
+  /// multiplexer that let the engine run ahead of the site event) is taken as
+  /// that clock: the change applies from where the engine is. No-op if the
+  /// value is unchanged, so callers may re-install every rebalance without
+  /// perturbing the event stream.
   void set_checkpoint_channel(double bandwidth_mb_per_s, SimTime now);
 
   /// Installs the cooperative-staggering window: checkpoint writes may only

@@ -97,6 +97,10 @@ class EventQueue {
   /// none is pending.
   SimTime next_tracked_time() const;
 
+  /// Time of the most recently popped event (0 before the first pop): the
+  /// owner's clock.
+  SimTime last_popped_time() const { return last_popped_; }
+
  private:
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
