@@ -271,7 +271,7 @@ std::vector<std::string> golden_digests() {
     options.strategy = ensemble::ArbiterStrategy::DemandWeighted;
     options.site_cap = site.max_instances;
     ensemble::EnsembleDriver driver(profiles, arrivals,
-                                    exp::policy_factory(exp::PolicyKind::Wire),
+                                    exp::sharded_policy_factory(exp::PolicyKind::Wire),
                                     site, options);
     const ensemble::EnsembleReport report = driver.run();
     char buf[512];

@@ -93,7 +93,7 @@ void run_cell(Cell& cell) {
   }
 
   ensemble::EnsembleDriver driver(
-      catalogue(), arrivals, exp::policy_factory(cell.policy, wire_options),
+      catalogue(), arrivals, exp::sharded_policy_factory(cell.policy, wire_options),
       site, options);
   cell.report = driver.run();
 }

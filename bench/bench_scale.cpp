@@ -99,7 +99,7 @@ CellResult run_cell(std::uint32_t tenants, std::uint32_t shards) {
       {workload::tpch6_profile(workload::Scale::Small),
        workload::pagerank_profile(workload::Scale::Small)},
       dense_stream(tenants),
-      exp::policy_factory(exp::PolicyKind::PureReactive), scale_site(),
+      exp::sharded_policy_factory(exp::PolicyKind::PureReactive), scale_site(),
       options);
   driver.set_site_listener([&result](const ensemble::SiteSample& sample) {
     ++result.samples;

@@ -40,7 +40,7 @@ int main() {
     options.site_cap = site.max_instances;
 
     ensemble::EnsembleDriver driver(
-        profiles, arrivals, exp::policy_factory(exp::PolicyKind::Wire), site,
+        profiles, arrivals, exp::sharded_policy_factory(exp::PolicyKind::Wire), site,
         options);
     const ensemble::EnsembleReport report = driver.run();
     std::printf("%s\n", report.render().c_str());

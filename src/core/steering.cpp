@@ -127,15 +127,7 @@ sim::PoolCommand steer(const LookaheadResult& lookahead,
     p = 1;
   }
 
-  // The pool at the start of the next interval: live instances that are not
-  // already draining (draining ones expire within this interval) and not
-  // under a revocation notice (the provider reclaims those on its own
-  // schedule — counting them as stable capacity would leave the next
-  // interval short exactly when replacements take a full lag to boot).
-  std::uint32_t m = 0;
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    if (!inst.draining && !inst.revoking) ++m;
-  }
+  const std::uint32_t m = stable_pool(snapshot);
 
   if (p > m) {
     std::uint32_t deficit = p - m;
@@ -157,69 +149,51 @@ sim::PoolCommand steer(const LookaheadResult& lookahead,
   }
   if (p >= m) return cmd;
 
-  // Shrink: candidates are ready instances whose unit expires before the
-  // next interval and whose restart cost is under the threshold.
+  // Shrink. The lookahead only charges tasks projected to survive the
+  // interval, and its occupancy predictions are conservative *minimums*
+  // ("about to complete"): a task that has already sunk real time into an
+  // instance would pay that cost again if the drain beats its actual
+  // completion, so the release decision also respects the observed sunk cost
+  // at the drain moment (elapsed so far + time to the charge boundary).
   std::vector<VictimCandidate> local_candidates;
-  std::vector<VictimCandidate>& candidates =
-      scratch != nullptr ? scratch->candidates : local_candidates;
-  candidates.clear();
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    // Revoking instances are excluded from `m`, so releasing one would
-    // double-count the capacity loss; the provider reclaims it anyway.
-    if (inst.provisioning || inst.draining || inst.revoking) continue;
-    if (inst.time_to_next_charge > config.lag_seconds) continue;
-    double cost = 0.0;
-    const auto it = lookahead.restart_cost.find(inst.id);
-    if (it != lookahead.restart_cost.end()) cost = it->second;
-    // The lookahead only charges tasks projected to survive the interval,
-    // but its occupancy predictions are conservative *minimums* ("about to
-    // complete"). A task that has already sunk real time into this instance
-    // would pay that cost again if the drain beats its actual completion, so
-    // the release decision also respects the observed sunk cost at the drain
-    // moment (elapsed so far + time to the charge boundary).
-    if (config.checkpoint.enabled()) {
-      // Scheduled checkpointing: a killed task restarts from its last
-      // committed checkpoint, so the sunk cost at risk is the actual
-      // unsalvaged progress — elapsed beyond the durable prefix — not a
-      // blanket fraction of everything.
-      for (dag::TaskId task : inst.running_tasks) {
-        const sim::TaskObservation& obs = snapshot.tasks[task];
-        cost = std::max(cost,
-                        std::max(0.0, obs.elapsed + inst.time_to_next_charge -
-                                          obs.checkpointed_exec));
-      }
-    } else {
-      for (dag::TaskId task : inst.running_tasks) {
-        cost = std::max(cost, snapshot.tasks[task].elapsed +
-                                  inst.time_to_next_charge);
-      }
-      // Legacy fractional checkpointing salvages that fraction of a killed
-      // task's progress, so only the remainder is genuinely at risk.
-      cost *= 1.0 - config.checkpoint_fraction;
-    }
-    if (cost > config.restart_cost_fraction * config.charging_unit_seconds) {
-      continue;
-    }
-    candidates.push_back(VictimCandidate{inst.id, cost});
-  }
-  // The comparator is a total order (instance ids are unique), so the victim
-  // sequence is deterministic regardless of the standard library's sort
-  // internals — a bare key comparison would leave equal-cost ties in an
-  // implementation-defined order and silently break byte-identical replay.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const VictimCandidate& a, const VictimCandidate& b) {
-              if (a.restart_cost != b.restart_cost) {
-                return a.restart_cost < b.restart_cost;
-              }
-              return a.id < b.id;
-            });
-  std::uint32_t remaining = m;
-  for (const VictimCandidate& c : candidates) {
-    if (remaining == p) break;
-    cmd.releases.push_back(sim::Release{c.id, /*at_charge_boundary=*/true});
-    --remaining;
-  }
+  release_cheapest(
+      snapshot, config, m, p,
+      [&](const sim::InstanceObservation& inst) {
+        const auto it = lookahead.restart_cost.find(inst.id);
+        const double projected =
+            it != lookahead.restart_cost.end() ? it->second : 0.0;
+        return sunk_cost_at_risk(inst, snapshot, config,
+                                 inst.time_to_next_charge, projected);
+      },
+      scratch != nullptr ? scratch->candidates : local_candidates, cmd);
   return cmd;
+}
+
+std::uint32_t stable_pool(const sim::MonitorSnapshot& snapshot) {
+  std::uint32_t m = 0;
+  for (const sim::InstanceObservation& inst : snapshot.instances) {
+    if (!inst.draining && !inst.revoking) ++m;
+  }
+  return m;
+}
+
+double sunk_cost_at_risk(const sim::InstanceObservation& inst,
+                         const sim::MonitorSnapshot& snapshot,
+                         const sim::CloudConfig& config, double horizon,
+                         double floor) {
+  double cost = floor;
+  if (config.checkpoint.enabled()) {
+    for (dag::TaskId task : inst.running_tasks) {
+      const sim::TaskObservation& obs = snapshot.tasks[task];
+      cost = std::max(cost, std::max(0.0, obs.elapsed + horizon -
+                                              obs.checkpointed_exec));
+    }
+    return cost;
+  }
+  for (dag::TaskId task : inst.running_tasks) {
+    cost = std::max(cost, snapshot.tasks[task].elapsed + horizon);
+  }
+  return cost * (1.0 - config.checkpoint_fraction);
 }
 
 double planned_burn_units(const sim::MonitorSnapshot& snapshot,

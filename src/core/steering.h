@@ -148,15 +148,74 @@ std::uint32_t resize_pool(const std::vector<double>& upcoming,
                           std::uint32_t slots_per_instance,
                           double leftover_fraction, double instance_mem_mb);
 
+/// Live instances that are neither draining nor under a revocation notice:
+/// the pool Algorithm 2 counts as stable at the start of the next interval
+/// (draining rows expire within it; the provider reclaims announced rows on
+/// its own schedule).
+std::uint32_t stable_pool(const sim::MonitorSnapshot& snapshot);
+
+/// Restart cost at risk if `inst` is drained `horizon` seconds from now: the
+/// largest sunk cost among its running tasks, never below `floor`. Under
+/// scheduled checkpointing a killed task restarts from its last committed
+/// checkpoint, so each task charges its unsalvaged progress (elapsed +
+/// horizon beyond the durable prefix); otherwise it charges elapsed +
+/// horizon, discounted by the legacy salvage fraction
+/// CloudConfig::checkpoint_fraction (floor included).
+double sunk_cost_at_risk(const sim::InstanceObservation& inst,
+                         const sim::MonitorSnapshot& snapshot,
+                         const sim::CloudConfig& config, double horizon,
+                         double floor);
+
+/// Algorithm 2's release rule, the one copy shared by steer() and the
+/// baselines that borrow its discipline. Candidates are Ready instances, not
+/// draining or revoking (a revoking row is already excluded from the stable
+/// pool; releasing it would double-count the loss), whose charging unit
+/// expires before the next interval (time_to_next_charge <= lag) and whose
+/// restart cost `cost_of(inst)` is at most restart_cost_fraction * u. They
+/// drain at their charge boundary cheapest first ("selects the instances to
+/// terminate to minimize task restart costs") until the stable pool
+/// `stable` reaches `target`. `candidates` is the caller's buffer.
+template <class CostFn>
+void release_cheapest(const sim::MonitorSnapshot& snapshot,
+                      const sim::CloudConfig& config, std::uint32_t stable,
+                      std::uint32_t target, CostFn&& cost_of,
+                      std::vector<VictimCandidate>& candidates,
+                      sim::PoolCommand& cmd) {
+  candidates.clear();
+  for (const sim::InstanceObservation& inst : snapshot.instances) {
+    if (inst.provisioning || inst.draining || inst.revoking) continue;
+    if (inst.time_to_next_charge > config.lag_seconds) continue;
+    const double cost = cost_of(inst);
+    if (cost > config.restart_cost_fraction * config.charging_unit_seconds) {
+      continue;
+    }
+    candidates.push_back(VictimCandidate{inst.id, cost});
+  }
+  // The comparator is a total order (instance ids are unique), so the victim
+  // sequence is deterministic regardless of the standard library's sort
+  // internals — a bare key comparison would leave equal-cost ties in an
+  // implementation-defined order and silently break byte-identical replay.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const VictimCandidate& a, const VictimCandidate& b) {
+              if (a.restart_cost != b.restart_cost) {
+                return a.restart_cost < b.restart_cost;
+              }
+              return a.id < b.id;
+            });
+  for (const VictimCandidate& c : candidates) {
+    if (stable == target) break;
+    cmd.releases.push_back(sim::Release{c.id, /*at_charge_boundary=*/true});
+    --stable;
+  }
+}
+
 /// Algorithm 2: forms the grow/release command toward the planned size,
 /// clamped to MonitorSnapshot::pool_cap when an external ceiling is imposed
 /// (multi-tenant arbiter share); the unclamped Algorithm-3 size is reported
 /// through `planned_size` and PoolCommand::desired_pool.
-/// Candidates for release are ready, non-draining instances whose charging
-/// unit expires before the next interval (r_j <= lag) with restart cost
-/// c_j <= leftover_fraction * u; victims are taken in ascending restart-cost
-/// order ("selects the instances to terminate to minimize task restart
-/// costs") and drained at their charge boundary.
+/// Victims are chosen by release_cheapest, each priced by sunk_cost_at_risk
+/// at its charge boundary (horizon time_to_next_charge) with the lookahead's
+/// projected restart cost c_j as the floor.
 ///
 /// Plan-phase incrementality: when `lookahead.plan_valid` is set (the
 /// incremental lookahead stamped the wavefront on a quiet tick), the

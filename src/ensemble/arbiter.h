@@ -126,15 +126,10 @@ struct CheckpointGrant {
                          const CheckpointGrant&) = default;
 };
 
-/// Partitions `site_cap` among `tenants` under `strategy`. Returns one share
-/// per tenant, in input order, satisfying the contract documented above.
-/// Requires site_cap >= 1 and sum(live_instances) <= site_cap.
-std::vector<std::uint32_t> allocate_shares(
-    ArbiterStrategy strategy, std::uint32_t site_cap,
-    const std::vector<TenantDemand>& tenants);
-
-/// As above, with the full config (memory-aware demand lifting). The
-/// three-argument overload forwards here with instance_mem_mb = 0.
+/// Partitions `config.site_cap` among `tenants` under `strategy`. Returns
+/// one share per tenant, in input order, satisfying the contract documented
+/// above. Requires site_cap >= 1 and sum(live_instances) <= site_cap.
+/// `ArbiterConfig{cap}` is the plain instance-count arbitration.
 std::vector<std::uint32_t> allocate_shares(
     ArbiterStrategy strategy, const ArbiterConfig& config,
     const std::vector<TenantDemand>& tenants);

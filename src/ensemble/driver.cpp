@@ -65,31 +65,15 @@ EnsembleDriver::~EnsembleDriver() = default;
 
 EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
                                ArrivalProcess arrivals,
-                               PolicyFactory policy_factory,
-                               const sim::CloudConfig& cloud,
-                               const EnsembleOptions& options)
-    : EnsembleDriver(std::move(profiles), std::move(arrivals),
-                     ShardedPolicyFactory(), cloud, options) {
-  WIRE_REQUIRE(static_cast<bool>(policy_factory), "need a policy factory");
-  // Wrap the zero-arg factory; its policies may share scratch, so the
-  // dedicated baselines must not run concurrently.
-  policy_factory_ = [factory = std::move(policy_factory)](std::uint32_t) {
-    return factory();
-  };
-  parallel_safe_factory_ = false;
-}
-
-EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
-                               ArrivalProcess arrivals,
                                ShardedPolicyFactory sharded_policy_factory,
                                const sim::CloudConfig& cloud,
                                const EnsembleOptions& options)
     : profiles_(std::move(profiles)),
       arrivals_(std::move(arrivals)),
       policy_factory_(std::move(sharded_policy_factory)),
-      parallel_safe_factory_(true),
       cloud_(cloud),
       options_(options) {
+  WIRE_REQUIRE(static_cast<bool>(policy_factory_), "need a policy factory");
   WIRE_REQUIRE(!profiles_.empty(), "need at least one workflow profile");
   WIRE_REQUIRE(options_.site_cap >= 1, "site cap must be at least one");
   WIRE_REQUIRE(options_.initial_instances >= 1,
@@ -131,7 +115,7 @@ void EnsembleDriver::admit_arrival(const JobArrival& a) {
   auto tenant = std::make_unique<Tenant>(
       a, workload::make_workflow(profiles_[a.profile_index], a.workflow_seed));
   tenant->index = tenants_.size();
-  tenant->shard = tenant_shard(options_.shard_seed,
+  tenant->shard = tenant_shard(kTenantShardSeed,
                                std::max(1u, options_.shards), a.job);
   tenant->policy = policy_factory_(tenant->shard);
   sim::RunOptions run_options;
@@ -231,10 +215,7 @@ void EnsembleDriver::rebalance(sim::SimTime now, bool full) {
       ckpt_config.checkpoint_bandwidth_mb_per_s =
           cloud_.checkpoint.channel_bandwidth_mb_per_s;
       ckpt_config.stagger_checkpoints = options_.stagger_checkpoints;
-      ckpt_config.stagger_period_seconds =
-          options_.checkpoint_stagger_period_seconds > 0.0
-              ? options_.checkpoint_stagger_period_seconds
-              : cloud_.lag_seconds;
+      ckpt_config.stagger_period_seconds = cloud_.lag_seconds;
       ckpt_grants = allocate_checkpoint_windows(ckpt_config, rows_);
     }
 
@@ -478,14 +459,13 @@ EnsembleReport EnsembleDriver::assemble_report() {
   report.slots_per_instance = cloud_.slots_per_instance;
 
   // Dedicated-baseline counterfactuals are whole independent simulations, so
-  // they parallelize across shards — but only when policies were minted by a
-  // shard-aware factory (per-shard scratch); a plain factory may share
-  // scratch across all tenants and must stay sequential. Each result lands
-  // in its tenant's slot, so assembly below is order-independent.
+  // they parallelize across shards (policies of different shards share
+  // nothing mutable). Each result lands in its tenant's slot, so assembly
+  // below is order-independent.
   std::vector<double> dedicated(tenants_.size(), 0.0);
   if (options_.dedicated_baseline) {
     const std::uint32_t shards = std::max(1u, options_.shards);
-    if (parallel_safe_factory_ && shards > 1) {
+    if (shards > 1) {
       util::ThreadPool pool(options_.threads);
       pool.run_batch(shards, [&](std::size_t s) {
         for (const std::unique_ptr<Tenant>& t : tenants_) {

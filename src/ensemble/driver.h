@@ -3,9 +3,9 @@
 // fresh one from the policy factory) wrapped in a sim::JobEngine; the driver
 // multiplexes the engines over a single site clock, interleaving their
 // discrete events in global time order. The SiteArbiter partitions the site
-// instance cap among live jobs after every event; each tenant's engine
-// enforces its share on the grow path and surfaces it to the tenant's policy
-// through MonitorSnapshot::pool_cap.
+// instance cap among live jobs at every serial event (see the execution
+// model below); each tenant's engine enforces its share on the grow path and
+// surfaces it to the tenant's policy through MonitorSnapshot::pool_cap.
 //
 // Isolation contract: a tenant's policy sees only its own job — its DAG, its
 // task observations, its instances, its share as pool_cap. Nothing about
@@ -56,12 +56,12 @@
 // event, which makes it the oracle for this bookkeeping.
 //
 // Policy-state sharing: tenant policies plan() only at serial points (control
-// ticks), so even a PolicyFactory that shares one core::PlanScratch across
-// the policies it mints is safe in the main loop. Dedicated-baseline runs DO
-// execute whole jobs concurrently, so they are only parallelized when the
-// driver was built with a shard-aware ShardedPolicyFactory
-// (exp::sharded_policy_factory mints per-shard arenas); with a plain
-// PolicyFactory the baselines fall back to sequential execution.
+// ticks), so policies minted for one shard may share one core::PlanScratch
+// in the main loop. Dedicated-baseline runs DO execute whole jobs
+// concurrently, one shard per worker, so policies of different shards must
+// share nothing mutable (exp::sharded_policy_factory mints per-shard
+// arenas). A one-argument lambda that ignores the shard and shares nothing
+// is a valid factory too.
 //
 // Site listener cadence: the windowed engine emits SiteSamples at serial
 // events only (arrivals, demand-relevant tenant events, retirements) — the
@@ -86,11 +86,6 @@
 
 namespace wire::ensemble {
 
-/// Creates one fresh policy instance per job (tenant controllers share no
-/// state across jobs).
-using PolicyFactory =
-    std::function<std::unique_ptr<sim::ScalingPolicy>()>;
-
 /// Shard-aware policy factory: mints a fresh policy for a tenant pinned to
 /// `shard`. Policies minted for the same shard may share scratch state
 /// (exp::sharded_policy_factory shares one PlanScratch arena per shard);
@@ -101,10 +96,15 @@ using ShardedPolicyFactory =
 
 /// Deterministic seeded tenant→shard map: which shard owns job `job` under
 /// `shards`-way partitioning. Pure (SplitMix64 over (shard_seed, job)), so
-/// the partition is stable across runs, platforms, and worker counts.
+/// the partition is stable across runs, platforms, and worker counts. The
+/// driver always passes kTenantShardSeed.
 /// Returns 0 when shards <= 1.
 std::uint32_t tenant_shard(std::uint64_t shard_seed, std::uint32_t shards,
                            std::uint32_t job);
+
+/// Seed of the driver's tenant→shard map, fixed so recorded runs replay onto
+/// identical partitions.
+inline constexpr std::uint64_t kTenantShardSeed = 0x5A17D5ull;
 
 struct EnsembleOptions {
   ArbiterStrategy strategy = ArbiterStrategy::StaticFairShare;
@@ -127,9 +127,6 @@ struct EnsembleOptions {
   /// Worker threads backing the shard pool (0 = hardware concurrency).
   /// Never affects results, only wall-clock.
   std::uint32_t threads = 0;
-  /// Seed of the tenant→shard map (kept fixed so recorded runs replay onto
-  /// identical partitions).
-  std::uint64_t shard_seed = 0x5A17D5ull;
   /// Feed each tenant's projected memory demand
   /// (JobEngine::requested_mem_mb) into demand-weighted arbitration via
   /// ArbiterConfig::instance_mem_mb taken from the site's MemoryConfig. Off
@@ -138,8 +135,9 @@ struct EnsembleOptions {
   /// Per-tenant budget (charging units) every job of the stream runs under;
   /// 0 disables budget accounting entirely (byte-identical baselines). The
   /// driver does not enforce the budget itself — the tenant's own
-  /// policies::BudgetPolicy does (mint one through exp::budget_policy_factory
-  /// with BudgetOptions::budget_units equal to this) — but it seeds the
+  /// policies::BudgetPolicy does (mint one through
+  /// exp::sharded_budget_policy_factory with BudgetOptions::budget_units
+  /// equal to this) — but it seeds the
   /// demand signal: a tenant whose engine has not yet reported a remaining
   /// budget bids with the full amount, and the report's per-job budget /
   /// overrun counters are measured against it.
@@ -149,15 +147,15 @@ struct EnsembleOptions {
   /// tenants with checkpoint pressure share the channel concurrently — each
   /// is installed its diluted bandwidth share. On: the arbiter serializes
   /// access into round-robin windows at full bandwidth
-  /// (allocate_checkpoint_windows).
+  /// (allocate_checkpoint_windows), one round per site control lag.
   bool stagger_checkpoints = false;
-  /// Staggering round length (seconds); 0 = the site's control lag.
-  double checkpoint_stagger_period_seconds = 0.0;
 };
 
-/// Site-level observation emitted after every processed event (arrival,
-/// tenant event, retirement) once shares are rebalanced. Tests use it to
-/// assert the capacity invariant at every control point.
+/// Site-level observation emitted at every serial event (arrival,
+/// demand-relevant tenant event, retirement) once shares are rebalanced —
+/// every point where shares can move; the shards == 0 reference loop emits
+/// after every processed event. Tests use it to assert the capacity
+/// invariant at every control point.
 struct SiteSample {
   sim::SimTime now = 0.0;
   std::uint32_t site_cap = 0;
@@ -175,16 +173,8 @@ class EnsembleDriver {
   /// `profiles` is the workflow catalogue the arrival stream indexes into;
   /// `cloud` describes one site instance (its max_instances is ignored —
   /// EnsembleOptions::site_cap is the shared ceiling, and the per-tenant
-  /// engines are capped by their arbiter shares instead). With a plain
-  /// PolicyFactory the minted policies may share scratch (main loop plans
-  /// serially), but dedicated-baseline runs stay sequential.
-  EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
-                 ArrivalProcess arrivals, PolicyFactory policy_factory,
-                 const sim::CloudConfig& cloud,
-                 const EnsembleOptions& options = {});
-
-  /// Shard-aware overload: policies are minted per tenant shard
-  /// (exp::sharded_policy_factory), which additionally lets
+  /// engines are capped by their arbiter shares instead). Policies are
+  /// minted per tenant shard (exp::sharded_policy_factory), which lets
   /// dedicated-baseline runs execute shards in parallel.
   EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
                  ArrivalProcess arrivals,
@@ -193,7 +183,8 @@ class EnsembleDriver {
                  const EnsembleOptions& options = {});
   ~EnsembleDriver();  // out of line: Tenant is private to the .cpp
 
-  /// Observer invoked after every processed site event (optional).
+  /// Observer invoked with every SiteSample (optional; see SiteSample for
+  /// the cadence).
   void set_site_listener(std::function<void(const SiteSample&)> listener) {
     site_listener_ = std::move(listener);
   }
@@ -225,10 +216,7 @@ class EnsembleDriver {
 
   std::vector<workload::WorkflowProfile> profiles_;
   ArrivalProcess arrivals_;
-  /// All policy minting goes through the sharded form; a plain PolicyFactory
-  /// is wrapped to ignore the shard (and parallel_safe_factory_ is false).
   ShardedPolicyFactory policy_factory_;
-  bool parallel_safe_factory_ = false;
   sim::CloudConfig cloud_;
   EnsembleOptions options_;
   std::function<void(const SiteSample&)> site_listener_;

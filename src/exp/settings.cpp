@@ -57,24 +57,6 @@ std::unique_ptr<sim::ScalingPolicy> make_policy(
   return nullptr;
 }
 
-std::function<std::unique_ptr<sim::ScalingPolicy>()> policy_factory(
-    PolicyKind kind, const core::WireOptions& wire_options) {
-  if (kind == PolicyKind::Wire) {
-    // All WIRE controllers minted by this factory share ONE Plan scratch
-    // arena: the ensemble driver serializes tenant planning (policies only
-    // plan() at serial points of the windowed loop), so the arena is free
-    // whenever the next tenant plans, and N tenants stop paying N sets of
-    // projection-buffer allocation churn. A caller-supplied arena is
-    // respected as-is.
-    core::WireOptions shared = wire_options;
-    if (!shared.plan_scratch) {
-      shared.plan_scratch = std::make_shared<core::PlanScratch>();
-    }
-    return [kind, shared]() { return make_policy(kind, shared); };
-  }
-  return [kind, wire_options]() { return make_policy(kind, wire_options); };
-}
-
 std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t)>
 sharded_policy_factory(PolicyKind kind,
                        const core::WireOptions& wire_options) {
@@ -102,15 +84,6 @@ sharded_policy_factory(PolicyKind kind,
       shared.plan_scratch = arena;
     }
     return make_policy(kind, shared);
-  };
-}
-
-std::function<std::unique_ptr<sim::ScalingPolicy>()> budget_policy_factory(
-    PolicyKind kind, const policies::BudgetOptions& budget,
-    const core::WireOptions& wire_options) {
-  auto inner = policy_factory(kind, wire_options);
-  return [inner, budget]() {
-    return std::make_unique<policies::BudgetPolicy>(inner(), budget);
   };
 }
 

@@ -38,46 +38,35 @@ sim::CloudConfig paper_cloud(double charging_unit_seconds);
 std::unique_ptr<sim::ScalingPolicy> make_policy(
     PolicyKind kind, const core::WireOptions& wire_options = {});
 
-/// A reusable factory for `kind`: each call yields a fresh policy instance.
-/// This is the shape the multi-tenant ensemble driver consumes (one
-/// controller per concurrent job). For PolicyKind::Wire, every controller
-/// from one factory shares a single Plan scratch arena (safe: the ensemble
-/// driver only lets tenant policies plan() at serial points, never
-/// concurrently; see core/plan_scratch.h) — pass WireOptions::plan_scratch
-/// to override. Dedicated-baseline runs under this factory stay sequential;
-/// use sharded_policy_factory to parallelize them.
+/// A reusable factory for `kind`, in the shape the multi-tenant ensemble
+/// driver consumes: each call mints a fresh policy (one controller per
+/// concurrent job) for a tenant pinned to `shard`. For PolicyKind::Wire,
+/// controllers minted for the same shard share one Plan scratch arena
+/// (created lazily, under a mutex so concurrent dedicated-baseline minting is
+/// safe) — sound because the driver only lets tenant policies plan() at
+/// serial points, never concurrently (see core/plan_scratch.h). Different
+/// shards never share scratch, so whole jobs of different shards may run
+/// concurrently. Scratch identity never affects results (the arena holds no
+/// cross-tick state). Pass WireOptions::plan_scratch to share one arena
+/// across all shards instead (opting out of shard isolation).
 ///
 /// With `wire_options.bandit` enabled, every minted controller carries its
 /// OWN BanditSelector (per-tenant predictor selection), all seeded from the
 /// same `bandit.seed`. The seed is deliberately NOT mixed with a mint-order
-/// counter: the sharded factory mints from worker threads concurrently, so
+/// counter: dedicated baselines mint from worker threads concurrently, so
 /// mint order is nondeterministic — per-tenant selector streams still
 /// diverge deterministically because each tenant feeds its selector its own
 /// regret sequence. Selector-off (`bandit.arms == 0`) stays byte-identical
-/// to the pre-bandit factories.
-std::function<std::unique_ptr<sim::ScalingPolicy>()> policy_factory(
-    PolicyKind kind, const core::WireOptions& wire_options = {});
-
-/// Shard-aware factory for the sharded ensemble driver: policies minted for
-/// the same shard share one Plan scratch arena (created lazily, under a
-/// mutex so concurrent dedicated-baseline minting is safe); different shards
-/// never share scratch, so whole jobs of different shards may run
-/// concurrently. Scratch identity never affects results (the arena holds no
-/// cross-tick state), so this factory is result-identical to policy_factory
-/// for any shard assignment.
+/// to the pre-bandit factory.
 std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t)>
 sharded_policy_factory(PolicyKind kind,
                        const core::WireOptions& wire_options = {});
 
-/// As policy_factory, with every minted policy wrapped in a
+/// As sharded_policy_factory, with every minted policy wrapped in a
 /// policies::BudgetPolicy carrying `budget`. With budget.budget_units == 0
 /// the wrapper is a pure passthrough and the factory's runs are
-/// byte-identical to policy_factory's — the budget-off identity contract.
-std::function<std::unique_ptr<sim::ScalingPolicy>()> budget_policy_factory(
-    PolicyKind kind, const policies::BudgetOptions& budget,
-    const core::WireOptions& wire_options = {});
-
-/// As sharded_policy_factory, budget-wrapped the same way.
+/// byte-identical to sharded_policy_factory's — the budget-off identity
+/// contract.
 std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t)>
 sharded_budget_policy_factory(PolicyKind kind,
                               const policies::BudgetOptions& budget,

@@ -1,9 +1,9 @@
 #include "policies/baselines.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
+#include "core/steering.h"
 #include "util/check.h"
 
 namespace wire::policies {
@@ -50,48 +50,6 @@ std::uint32_t reactive_target(const sim::MonitorSnapshot& snapshot,
   return (active + config.slots_per_instance - 1) / config.slots_per_instance;
 }
 
-/// Stable capacity at the next interval: live instances that are neither
-/// draining nor under a revocation notice (the provider reclaims announced
-/// instances on its own schedule, so they must not be counted).
-std::uint32_t live_non_draining(const sim::MonitorSnapshot& snapshot) {
-  std::uint32_t m = 0;
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    if (!inst.draining && !inst.revoking) ++m;
-  }
-  return m;
-}
-
-/// Maximum observed elapsed occupancy among an instance's running tasks —
-/// the monitorable stand-in for the restart cost c_j.
-double observed_sunk_cost(const sim::InstanceObservation& inst,
-                          const sim::MonitorSnapshot& snapshot) {
-  double cost = 0.0;
-  for (dag::TaskId task : inst.running_tasks) {
-    cost = std::max(cost, snapshot.tasks[task].elapsed);
-  }
-  return cost;
-}
-
-/// Restart cost at risk if the instance is released, under the run's
-/// checkpointing model. Scheduled checkpointing charges each task's actual
-/// unsalvaged progress (elapsed beyond the last committed checkpoint); the
-/// legacy fractional model discounts the blanket sunk cost instead.
-double sunk_cost_at_risk(const sim::InstanceObservation& inst,
-                         const sim::MonitorSnapshot& snapshot,
-                         const sim::CloudConfig& config) {
-  if (config.checkpoint.enabled()) {
-    double cost = 0.0;
-    for (dag::TaskId task : inst.running_tasks) {
-      const sim::TaskObservation& obs = snapshot.tasks[task];
-      cost = std::max(cost,
-                      std::max(0.0, obs.elapsed - obs.checkpointed_exec));
-    }
-    return cost;
-  }
-  return observed_sunk_cost(inst, snapshot) *
-         (1.0 - config.checkpoint_fraction);
-}
-
 }  // namespace
 
 StaticPolicy::StaticPolicy(std::uint32_t size, std::string label)
@@ -125,7 +83,7 @@ sim::PoolCommand PureReactivePolicy::plan(
   sim::PoolCommand cmd;
   cmd.desired_pool = reactive_target(snapshot, config_);
   const std::uint32_t target = clamp_to_cap(cmd.desired_pool, snapshot);
-  const std::uint32_t m = live_non_draining(snapshot);
+  const std::uint32_t m = core::stable_pool(snapshot);
   if (target > m) {
     cmd.grow = target - m;
     return cmd;
@@ -170,42 +128,23 @@ sim::PoolCommand ReactiveConservingPolicy::plan(
   sim::PoolCommand cmd;
   cmd.desired_pool = reactive_target(snapshot, config_);
   const std::uint32_t target = clamp_to_cap(cmd.desired_pool, snapshot);
-  const std::uint32_t m = live_non_draining(snapshot);
+  const std::uint32_t m = core::stable_pool(snapshot);
   if (target > m) {
     cmd.grow = target - m;
     return cmd;
   }
   if (target >= m) return cmd;
 
-  // Steering-policy release discipline: drain at the charge boundary, only
-  // when the unit expires before the next interval and the observed sunk
-  // cost is under the threshold.
-  struct Candidate {
-    sim::InstanceId id;
-    double sunk;
-  };
-  std::vector<Candidate> candidates;
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    if (inst.provisioning || inst.draining || inst.revoking) continue;
-    if (inst.time_to_next_charge > config_.lag_seconds) continue;
-    const double sunk = sunk_cost_at_risk(inst, snapshot, config_);
-    if (sunk >
-        config_.restart_cost_fraction * config_.charging_unit_seconds) {
-      continue;
-    }
-    candidates.push_back(Candidate{inst.id, sunk});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.sunk != b.sunk) return a.sunk < b.sunk;
-              return a.id < b.id;
-            });
-  std::uint32_t remaining = m;
-  for (const Candidate& c : candidates) {
-    if (remaining == target) break;
-    cmd.releases.push_back(sim::Release{c.id, /*at_charge_boundary=*/true});
-    --remaining;
-  }
+  // Steering-policy release discipline (Algorithm 2's rule) with the
+  // observed sunk cost right now as the restart cost.
+  std::vector<core::VictimCandidate> candidates;
+  core::release_cheapest(
+      snapshot, config_, m, target,
+      [&](const sim::InstanceObservation& inst) {
+        return core::sunk_cost_at_risk(inst, snapshot, config_,
+                                       /*horizon=*/0.0, /*floor=*/0.0);
+      },
+      candidates, cmd);
   return cmd;
 }
 

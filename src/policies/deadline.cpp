@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/steering.h"
 #include "util/check.h"
 
 namespace wire::policies {
@@ -48,11 +49,8 @@ sim::PoolCommand DeadlinePolicy::plan(const sim::MonitorSnapshot& snapshot) {
   }
 
   sim::PoolCommand cmd;
-  std::uint32_t m = 0;
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    if (!inst.draining) ++m;
-  }
   if (incomplete == 0) return cmd;
+  const std::uint32_t m = core::stable_pool(snapshot);
 
   // Budget: capacity usable before the deadline. New instances only start
   // contributing after the provisioning lag, so the effective window for
@@ -84,49 +82,17 @@ sim::PoolCommand DeadlinePolicy::plan(const sim::MonitorSnapshot& snapshot) {
   }
   if (p >= m) return cmd;
 
-  // Ahead of schedule: release under the steering discipline (charge
-  // boundary within the next interval, cheap restart).
-  struct Candidate {
-    sim::InstanceId id;
-    double sunk;
-  };
-  std::vector<Candidate> candidates;
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    if (inst.provisioning || inst.draining) continue;
-    if (inst.time_to_next_charge > config_.lag_seconds) continue;
-    double sunk = 0.0;
-    if (config_.checkpoint.enabled()) {
-      // Scheduled checkpointing: charge each task's actual unsalvaged
-      // progress past its last committed checkpoint, not a blanket discount.
-      for (dag::TaskId task : inst.running_tasks) {
-        const sim::TaskObservation& obs = snapshot.tasks[task];
-        sunk = std::max(sunk,
-                        std::max(0.0, obs.elapsed + inst.time_to_next_charge -
-                                          obs.checkpointed_exec));
-      }
-    } else {
-      for (dag::TaskId task : inst.running_tasks) {
-        sunk = std::max(sunk, snapshot.tasks[task].elapsed +
-                                  inst.time_to_next_charge);
-      }
-      sunk *= 1.0 - config_.checkpoint_fraction;
-    }
-    if (sunk > config_.restart_cost_fraction * config_.charging_unit_seconds) {
-      continue;
-    }
-    candidates.push_back(Candidate{inst.id, sunk});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.sunk != b.sunk) return a.sunk < b.sunk;
-              return a.id < b.id;
-            });
-  std::uint32_t remaining = m;
-  for (const Candidate& c : candidates) {
-    if (remaining == p) break;
-    cmd.releases.push_back(sim::Release{c.id, /*at_charge_boundary=*/true});
-    --remaining;
-  }
+  // Ahead of schedule: release under the steering discipline (Algorithm 2's
+  // rule, sunk cost priced at the charge boundary).
+  std::vector<core::VictimCandidate> candidates;
+  core::release_cheapest(
+      snapshot, config_, m, p,
+      [&](const sim::InstanceObservation& inst) {
+        return core::sunk_cost_at_risk(inst, snapshot, config_,
+                                       inst.time_to_next_charge,
+                                       /*floor=*/0.0);
+      },
+      candidates, cmd);
   return cmd;
 }
 

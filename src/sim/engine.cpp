@@ -24,6 +24,15 @@ JobEngine::JobEngine(const dag::Workflow& workflow, ScalingPolicy& policy,
       faults_(config.faults, options.seed, config.memory),
       sizer_(config.memory, config.slots_per_instance,
              workflow.stage_count()),
+      fabric_(EventKind::TransferGuard,
+              config.variability.aggregate_bandwidth_mb_per_s,
+              config.variability.bandwidth_mb_per_s),
+      // The checkpoint channel starts at the configured full bandwidth; an
+      // arbiter installs the tenant's share through set_checkpoint_channel.
+      ckpt_channel_(EventKind::CheckpointGuard,
+                    config.checkpoint.enabled()
+                        ? config.checkpoint.channel_bandwidth_mb_per_s
+                        : 0.0),
       ckpt_sched_(config.checkpoint) {
   WIRE_REQUIRE(config.lag_seconds > 0.0, "lag must be positive");
   WIRE_REQUIRE(config.charging_unit_seconds > 0.0,
@@ -49,10 +58,7 @@ JobEngine::JobEngine(const dag::Workflow& workflow, ScalingPolicy& policy,
   // Checkpoint events are deliberately NOT tracked: commits and fires never
   // touch live_instances / requested_pool / done, so a sharded multiplexer
   // may advance them in parallel like any other local event.
-  if (config_.checkpoint.enabled()) {
-    ckpt_bandwidth_ = config_.checkpoint.channel_bandwidth_mb_per_s;
-    ckpt_states_.resize(workflow.task_count());
-  }
+  if (config_.checkpoint.enabled()) ckpt_states_.resize(workflow.task_count());
 }
 
 std::uint32_t JobEngine::effective_cap() const {
@@ -168,38 +174,6 @@ void JobEngine::dispatch_all(SimTime now) {
   }
 }
 
-double JobEngine::transfer_rate() const {
-  if (transfers_.empty()) return 0.0;
-  return std::min(config_.variability.bandwidth_mb_per_s,
-                  config_.variability.aggregate_bandwidth_mb_per_s /
-                      static_cast<double>(transfers_.size()));
-}
-
-void JobEngine::advance_transfers(SimTime now) {
-  const double rate = transfer_rate();
-  const double dt = now - transfers_updated_;
-  if (dt > 0.0 && rate > 0.0) {
-    for (ActiveTransfer& t : transfers_) {
-      t.remaining_mb -= rate * dt;
-    }
-  }
-  transfers_updated_ = now;
-}
-
-void JobEngine::arm_transfer_guard(SimTime now) {
-  ++transfer_epoch_;
-  if (transfers_.empty()) return;
-  const double rate = transfer_rate();
-  WIRE_CHECK(rate > 0.0, "active transfers with zero rate");
-  double min_remaining = transfers_.front().remaining_mb;
-  for (const ActiveTransfer& t : transfers_) {
-    min_remaining = std::min(min_remaining, t.remaining_mb);
-  }
-  const SimTime when = now + std::max(0.0, min_remaining) / rate;
-  queue_.schedule(when, EventKind::TransferGuard, 0,
-                  static_cast<std::uint32_t>(transfer_epoch_));
-}
-
 void JobEngine::begin_transfer(TaskId task, bool inbound, double payload_mb,
                                SimTime now) {
   // The per-dispatch scheduling overhead is fixed wall time (the master's
@@ -232,8 +206,7 @@ void JobEngine::start_payload_transfer(TaskId task, bool inbound,
     queue_.schedule(now + duration, done_kind, task, attempt);
     return;
   }
-  advance_transfers(now);
-  ActiveTransfer t;
+  SharedChannel::Flow t;
   t.task = task;
   t.attempt = attempt;
   t.inbound = inbound;
@@ -242,8 +215,8 @@ void JobEngine::start_payload_transfer(TaskId task, bool inbound,
   t.remaining_mb = payload_mb * variability_.sample_transfer_noise() +
                    config_.variability.transfer_latency_seconds *
                        config_.variability.bandwidth_mb_per_s;
-  transfers_.push_back(t);
-  arm_transfer_guard(now);
+  t.started = now;
+  fabric_.add(t, now, queue_);
 }
 
 void JobEngine::finish_transfer_in(TaskId task, SimTime now) {
@@ -319,44 +292,17 @@ void JobEngine::finish_transfer_out(TaskId task, SimTime now) {
 }
 
 void JobEngine::handle_transfer_guard(const Event& e) {
-  if (static_cast<std::uint32_t>(transfer_epoch_) != e.aux) return;
-  advance_transfers(e.time);
-  std::vector<ActiveTransfer> finished;
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < transfers_.size(); ++i) {
-    ActiveTransfer& t = transfers_[i];
-    const bool stale = !attempt_is_current(t.task, t.attempt);
-    if (stale) continue;  // dropped silently (task was resubmitted)
-    if (t.remaining_mb <= 1e-9) {
-      finished.push_back(t);
-      continue;
-    }
-    transfers_[keep++] = t;
-  }
-  transfers_.resize(keep);
-  arm_transfer_guard(e.time);
-  for (const ActiveTransfer& t : finished) {
+  if (!fabric_.guard_current(e)) return;
+  // Transfers of resubmitted attempts are dropped silently.
+  const std::vector<SharedChannel::Flow> finished = fabric_.settle(
+      e.time, queue_, alive_flow(), [](const SharedChannel::Flow&) {});
+  for (const SharedChannel::Flow& t : finished) {
     if (t.inbound) {
       finish_transfer_in(t.task, e.time);
     } else {
       finish_transfer_out(t.task, e.time);
     }
     if (framework_.all_complete()) return;
-  }
-}
-
-void JobEngine::purge_stale_transfers(SimTime now) {
-  if (!shared_bandwidth() || transfers_.empty()) return;
-  advance_transfers(now);
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < transfers_.size(); ++i) {
-    if (attempt_is_current(transfers_[i].task, transfers_[i].attempt)) {
-      transfers_[keep++] = transfers_[i];
-    }
-  }
-  if (keep != transfers_.size()) {
-    transfers_.resize(keep);
-    arm_transfer_guard(now);
   }
 }
 
@@ -394,7 +340,7 @@ void JobEngine::schedule_exec_segment(TaskId task, SimTime now) {
     const double contention = static_cast<double>(
         std::max<std::uint32_t>(1u, store_.running_count()));
     const double interval = ckpt_sched_.interval_seconds(
-        contention * ckpt_size_mb(task) / ckpt_bandwidth_);
+        contention * ckpt_size_mb(task) / ckpt_channel_.capacity());
     if (interval < remaining) {
       const SimTime fire = ckpt_window_defer(now + interval);
       if (fire - now < remaining) {
@@ -404,31 +350,6 @@ void JobEngine::schedule_exec_segment(TaskId task, SimTime now) {
     }
   }
   queue_.schedule(now + remaining, st.terminal, task, attempt);
-}
-
-void JobEngine::advance_ckpt_writes(SimTime now) {
-  const double rate = ckpt_write_rate();
-  const double dt = now - ckpt_writes_updated_;
-  if (dt > 0.0 && rate > 0.0) {
-    for (ActiveCkptWrite& w : ckpt_writes_) {
-      w.remaining_mb -= rate * dt;
-    }
-  }
-  ckpt_writes_updated_ = now;
-}
-
-void JobEngine::arm_ckpt_guard(SimTime now) {
-  ++ckpt_epoch_;
-  if (ckpt_writes_.empty()) return;
-  const double rate = ckpt_write_rate();
-  WIRE_CHECK(rate > 0.0, "active checkpoint writes with zero rate");
-  double min_remaining = ckpt_writes_.front().remaining_mb;
-  for (const ActiveCkptWrite& w : ckpt_writes_) {
-    min_remaining = std::min(min_remaining, w.remaining_mb);
-  }
-  const SimTime when = now + std::max(0.0, min_remaining) / rate;
-  queue_.schedule(when, EventKind::CheckpointGuard, 0,
-                  static_cast<std::uint32_t>(ckpt_epoch_));
 }
 
 void JobEngine::handle_task_checkpoint(const Event& e) {
@@ -441,38 +362,21 @@ void JobEngine::handle_task_checkpoint(const Event& e) {
   // slot (and its memory reservation) stays occupied the whole time.
   st.exec_done += e.time - st.segment_start;
   st.segment_start = -1.0;
-  advance_ckpt_writes(e.time);
-  ActiveCkptWrite w;
+  SharedChannel::Flow w;
   w.task = task;
   w.attempt = e.aux;
   w.remaining_mb = ckpt_size_mb(task);
   w.started = e.time;
-  ckpt_writes_.push_back(w);
-  arm_ckpt_guard(e.time);
+  ckpt_channel_.add(w, e.time, queue_);
 }
 
 void JobEngine::handle_checkpoint_guard(const Event& e) {
-  if (static_cast<std::uint32_t>(ckpt_epoch_) != e.aux) return;
-  advance_ckpt_writes(e.time);
-  std::vector<ActiveCkptWrite> committed;
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < ckpt_writes_.size(); ++i) {
-    ActiveCkptWrite& w = ckpt_writes_[i];
-    if (!attempt_is_current(w.task, w.attempt)) {
-      // The attempt died since the last purge point; its image is garbage.
-      ++ckpt_lost_;
-      ckpt_io_slot_seconds_ += e.time - w.started;
-      continue;
-    }
-    if (w.remaining_mb <= 1e-9) {
-      committed.push_back(w);
-      continue;
-    }
-    ckpt_writes_[keep++] = w;
-  }
-  ckpt_writes_.resize(keep);
-  arm_ckpt_guard(e.time);
-  for (const ActiveCkptWrite& w : committed) {
+  if (!ckpt_channel_.guard_current(e)) return;
+  // A write whose attempt died since the last purge point is garbage.
+  const std::vector<SharedChannel::Flow> committed = ckpt_channel_.settle(
+      e.time, queue_, alive_flow(),
+      [&](const SharedChannel::Flow& w) { ckpt_write_lost(w, e.time); });
+  for (const SharedChannel::Flow& w : committed) {
     ++ckpt_completed_;
     ckpt_io_slot_seconds_ += e.time - w.started;
     // Everything executed before the write started is now durable; a later
@@ -482,23 +386,15 @@ void JobEngine::handle_checkpoint_guard(const Event& e) {
   }
 }
 
+void JobEngine::ckpt_write_lost(const SharedChannel::Flow& w, SimTime now) {
+  ++ckpt_lost_;
+  ckpt_io_slot_seconds_ += now - w.started;
+}
+
 void JobEngine::purge_stale_ckpt_writes(SimTime now) {
-  if (ckpt_writes_.empty()) return;
-  advance_ckpt_writes(now);
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < ckpt_writes_.size(); ++i) {
-    ActiveCkptWrite& w = ckpt_writes_[i];
-    if (attempt_is_current(w.task, w.attempt)) {
-      ckpt_writes_[keep++] = w;
-      continue;
-    }
-    ++ckpt_lost_;
-    ckpt_io_slot_seconds_ += now - w.started;
-  }
-  if (keep != ckpt_writes_.size()) {
-    ckpt_writes_.resize(keep);
-    arm_ckpt_guard(now);
-  }
+  ckpt_channel_.purge(
+      now, queue_, alive_flow(),
+      [&](const SharedChannel::Flow& w) { ckpt_write_lost(w, now); });
 }
 
 void JobEngine::stage_ckpt_kill(TaskId task, SimTime now) {
@@ -526,15 +422,11 @@ void JobEngine::ckpt_observe_exposure(SimTime now) {
 
 void JobEngine::set_checkpoint_channel(double bandwidth_mb_per_s, SimTime now) {
   if (!config_.checkpoint.enabled() ||
-      bandwidth_mb_per_s == ckpt_bandwidth_) {
+      bandwidth_mb_per_s == ckpt_channel_.capacity()) {
     return;  // no-op installs must not perturb the event stream
   }
-  now = std::max(now, queue_.last_popped_time());
-  // In-flight writes ran at the old rate until now; the guard must be
-  // re-armed because the projected earliest completion changed.
-  advance_ckpt_writes(now);
-  ckpt_bandwidth_ = bandwidth_mb_per_s;
-  if (!ckpt_writes_.empty()) arm_ckpt_guard(now);
+  ckpt_channel_.set_capacity(bandwidth_mb_per_s,
+                             std::max(now, queue_.last_popped_time()), queue_);
 }
 
 void JobEngine::set_checkpoint_window(SimTime offset, double length,
@@ -577,21 +469,58 @@ void JobEngine::handle_instance_crash(const Event& e) {
   if (cloud_.instance(id).state != InstanceState::Ready) {
     return;  // released (drained/terminated) before the crash landed
   }
-  // Terminate-style lifecycle: in-flight tasks re-fire through the restart
-  // path, billing stops at the crash, and the store journals the same events
-  // a policy-ordered release would — MonitorDelta stays exact.
-  if (config_.checkpoint.enabled()) {
-    for (TaskId t : framework_.tasks_on(id)) stage_ckpt_kill(t, e.time);
-    ckpt_sched_.hazard().record_crash();
-  }
-  framework_.resubmit_tasks_on(id, e.time);
-  cloud_.terminate(id, e.time);
-  store_.on_instance_removed(id);
+  // Terminate-style lifecycle: the store journals the same events a
+  // policy-ordered release would — MonitorDelta stays exact.
+  if (config_.checkpoint.enabled()) ckpt_sched_.hazard().record_crash();
+  kill_instance(id, e.time);
   faults_.record(e.time, FaultKind::InstanceCrash, id, 0,
                  config_.faults.crash_notice_seconds);
-  purge_stale_transfers(e.time);
-  purge_stale_ckpt_writes(e.time);
-  dispatch_all(e.time);
+  settle_kills(e.time);
+}
+
+void JobEngine::kill_instance(InstanceId id, SimTime now) {
+  if (config_.checkpoint.enabled()) {
+    for (TaskId t : framework_.tasks_on(id)) stage_ckpt_kill(t, now);
+  }
+  framework_.resubmit_tasks_on(id, now);
+  cloud_.terminate(id, now);
+  store_.on_instance_removed(id);
+}
+
+void JobEngine::settle_kills(SimTime now) {
+  // Transfers of resubmitted attempts are dropped silently.
+  fabric_.purge(now, queue_, alive_flow(), [](const SharedChannel::Flow&) {});
+  purge_stale_ckpt_writes(now);
+  dispatch_all(now);
+}
+
+void JobEngine::retry_or_quarantine(TaskId task, std::uint32_t failures,
+                                    std::uint32_t limit, SimTime now) {
+  // Only the checkpoint channel is purged: a task death never strands a
+  // fabric flow (the attempt was executing, not transferring), and a fabric
+  // purge would still advance the fabric clock, splitting its arithmetic.
+  purge_stale_ckpt_writes(now);
+  if (failures >= limit) {
+    for (TaskId poisoned : framework_.quarantine(task)) {
+      faults_.record(now, FaultKind::TaskQuarantine, poisoned, 0, 0.0);
+    }
+    if (framework_.all_complete()) {
+      end_time_ = now;
+      return;
+    }
+  } else {
+    // One backoff ladder for both kinds; an OOM retry re-dispatches with an
+    // upsized reservation (clamp_reservation grows it per OOM attempt). The
+    // retry is stamped with the combined failure count it was scheduled for.
+    const double backoff =
+        config_.retry.backoff_base_seconds *
+        std::pow(config_.retry.backoff_factor,
+                 static_cast<double>(failures - 1));
+    const TaskRuntime& rt = framework_.runtime(task);
+    queue_.schedule(now + backoff, EventKind::TaskRetry, task,
+                    rt.failed_attempts + rt.oom_attempts);
+  }
+  dispatch_all(now);  // the death freed a slot (and its reservation)
 }
 
 void JobEngine::handle_task_faulted(const Event& e) {
@@ -601,24 +530,7 @@ void JobEngine::handle_task_faulted(const Event& e) {
   const std::uint32_t failures = framework_.on_task_failed(task, e.time);
   faults_.record(e.time, FaultKind::TaskFault, task, failures,
                  framework_.runtime(task).last_failed_elapsed);
-  purge_stale_ckpt_writes(e.time);
-  if (failures >= config_.retry.max_attempts) {
-    for (TaskId poisoned : framework_.quarantine(task)) {
-      faults_.record(e.time, FaultKind::TaskQuarantine, poisoned, 0, 0.0);
-    }
-    if (framework_.all_complete()) {
-      end_time_ = e.time;
-      return;
-    }
-  } else {
-    const double backoff =
-        config_.retry.backoff_base_seconds *
-        std::pow(config_.retry.backoff_factor,
-                 static_cast<double>(failures - 1));
-    queue_.schedule(e.time + backoff, EventKind::TaskRetry, task,
-                    failures + framework_.runtime(task).oom_attempts);
-  }
-  dispatch_all(e.time);  // the fault freed a slot
+  retry_or_quarantine(task, failures, config_.retry.max_attempts, e.time);
 }
 
 void JobEngine::handle_task_oom(const Event& e) {
@@ -628,25 +540,7 @@ void JobEngine::handle_task_oom(const Event& e) {
   stage_ckpt_kill(task, e.time);
   const std::uint32_t ooms = framework_.on_task_oom(task, e.time);
   faults_.record(e.time, FaultKind::OomKill, task, ooms, true_peak);
-  purge_stale_ckpt_writes(e.time);
-  if (ooms >= config_.memory.max_oom_attempts) {
-    for (TaskId poisoned : framework_.quarantine(task)) {
-      faults_.record(e.time, FaultKind::TaskQuarantine, poisoned, 0, 0.0);
-    }
-    if (framework_.all_complete()) {
-      end_time_ = e.time;
-      return;
-    }
-  } else {
-    // Same backoff ladder as transient faults; the retry re-dispatches with
-    // an upsized reservation (clamp_reservation grows it per OOM attempt).
-    const double backoff =
-        config_.retry.backoff_base_seconds *
-        std::pow(config_.retry.backoff_factor, static_cast<double>(ooms - 1));
-    queue_.schedule(e.time + backoff, EventKind::TaskRetry, task,
-                    framework_.runtime(task).failed_attempts + ooms);
-  }
-  dispatch_all(e.time);  // the kill freed a slot (and its reservation)
+  retry_or_quarantine(task, ooms, config_.memory.max_oom_attempts, e.time);
 }
 
 void JobEngine::handle_task_retry(const Event& e) {
@@ -771,7 +665,7 @@ void JobEngine::apply_command(const PoolCommand& cmd, SimTime now) {
   }
 
   // Releases.
-  bool need_dispatch = false;
+  bool killed = false;
   for (const Release& rel : cmd.releases) {
     if (rel.instance >= cloud_.instance_count()) continue;
     const Instance& inst = cloud_.instance(rel.instance);
@@ -787,22 +681,11 @@ void JobEngine::apply_command(const PoolCommand& cmd, SimTime now) {
       const SimTime when = cloud_.schedule_drain(rel.instance, now);
       queue_.schedule(when, EventKind::InstanceDrain, rel.instance);
     } else {
-      if (config_.checkpoint.enabled()) {
-        for (TaskId t : framework_.tasks_on(rel.instance)) {
-          stage_ckpt_kill(t, now);
-        }
-      }
-      framework_.resubmit_tasks_on(rel.instance, now);
-      cloud_.terminate(rel.instance, now);
-      store_.on_instance_removed(rel.instance);
-      need_dispatch = true;
+      kill_instance(rel.instance, now);
+      killed = true;
     }
   }
-  if (need_dispatch) {
-    purge_stale_transfers(now);
-    purge_stale_ckpt_writes(now);
-    dispatch_all(now);
-  }
+  if (killed) settle_kills(now);
 }
 
 void JobEngine::handle_control_tick(const Event& e) {
@@ -870,15 +753,8 @@ void JobEngine::handle_instance_drain(const Event& e) {
   if (inst.drain_at < 0.0 || std::abs(inst.drain_at - e.time) > 1e-6) {
     return;  // drain was cancelled or rescheduled
   }
-  if (config_.checkpoint.enabled()) {
-    for (TaskId t : framework_.tasks_on(id)) stage_ckpt_kill(t, e.time);
-  }
-  framework_.resubmit_tasks_on(id, e.time);
-  cloud_.terminate(id, e.time);
-  store_.on_instance_removed(id);
-  purge_stale_transfers(e.time);
-  purge_stale_ckpt_writes(e.time);
-  dispatch_all(e.time);
+  kill_instance(id, e.time);
+  settle_kills(e.time);
 }
 
 RunResult JobEngine::result() {

@@ -33,6 +33,7 @@
 #include "sim/memory.h"
 #include "sim/monitor_store.h"
 #include "sim/scaling_policy.h"
+#include "sim/shared_channel.h"
 #include "sim/variability.h"
 
 namespace wire::sim {
@@ -190,38 +191,52 @@ class JobEngine {
   /// became Ready (no-op with fault injection disabled).
   void maybe_arm_crash(InstanceId id, SimTime now);
 
+  /// The one kill sequence of a Ready instance (crash, drain, immediate
+  /// release): stages each running attempt's checkpointed progress,
+  /// resubmits the tasks, terminates the instance (billing stops) and
+  /// journals the removal. The caller follows with settle_kills(), once per
+  /// batch of kills at the same instant.
+  void kill_instance(InstanceId id, SimTime now);
+  /// Drops the killed attempts' flows from both channels and re-dispatches
+  /// onto the freed capacity.
+  void settle_kills(SimTime now);
+  /// Tail of a task fault or OOM kill, `failures` being the count of that
+  /// kind against its `limit`: quarantine the task (and its descendants) at
+  /// the limit, else schedule the retry after the backoff ladder's delay;
+  /// then re-dispatch onto the freed slot.
+  void retry_or_quarantine(dag::TaskId task, std::uint32_t failures,
+                           std::uint32_t limit, SimTime now);
+
   // --- Transfer model -------------------------------------------------
   // With aggregate_bandwidth == 0 every transfer runs at link speed for a
   // duration fixed when it starts. Otherwise transfers share the aggregate
-  // fabric processor-style: each active transfer proceeds at
-  // min(link, aggregate / n); a single epoch-stamped guard event tracks the
-  // earliest projected completion and is re-armed whenever the active set
-  // changes.
+  // fabric (fabric_) processor-style at min(link, aggregate / n).
   bool shared_bandwidth() const {
     return config_.variability.aggregate_bandwidth_mb_per_s > 0.0;
   }
-  double transfer_rate() const;
-  void advance_transfers(SimTime now);
-  void arm_transfer_guard(SimTime now);
   void begin_transfer(dag::TaskId task, bool inbound, double payload_mb,
                       SimTime now);
   void start_payload_transfer(dag::TaskId task, bool inbound,
                               double payload_mb, SimTime now);
   void finish_transfer_in(dag::TaskId task, SimTime now);
   void finish_transfer_out(dag::TaskId task, SimTime now);
-  void purge_stale_transfers(SimTime now);
+  /// SharedChannel liveness callback: the flow's attempt is still running.
+  auto alive_flow() const {
+    return [this](const SharedChannel::Flow& f) {
+      return attempt_is_current(f.task, f.attempt);
+    };
+  }
 
   // --- Scheduled checkpointing (CheckpointConfig::enabled()) ------------
   // Execution runs in segments punctuated by checkpoint writes on a shared
-  // channel that mirrors the transfer fabric: active writes share
-  // ckpt_bandwidth_ processor-style and an epoch-stamped CheckpointGuard
-  // tracks the earliest projected completion. Exactly one exec event
-  // (TaskCheckpoint xor ExecDone) is pending per running attempt; while a
-  // write is in flight the task stalls (occupying its slot) and resumes when
-  // the write commits. A killed attempt salvages only committed checkpoints;
-  // its in-flight write is purged and counted lost.
+  // channel (ckpt_channel_, whose capacity is the tenant's bandwidth share).
+  // Exactly one exec event (TaskCheckpoint xor ExecDone) is pending per
+  // running attempt; while a write is in flight the task stalls (occupying
+  // its slot) and resumes when the write commits. A killed attempt salvages
+  // only committed checkpoints; its in-flight write is purged and counted
+  // lost.
   bool checkpoint_active() const {
-    return config_.checkpoint.enabled() && ckpt_bandwidth_ > 0.0;
+    return config_.checkpoint.enabled() && ckpt_channel_.capacity() > 0.0;
   }
   /// Checkpoint image size: the attempt's memory reservation when the memory
   /// dimension is on, CheckpointConfig::default_size_mb otherwise.
@@ -233,15 +248,9 @@ class JobEngine {
   /// `now`: a TaskCheckpoint if one more interval fits before the remaining
   /// execution ends, the final ExecDone otherwise.
   void schedule_exec_segment(dag::TaskId task, SimTime now);
-  double ckpt_write_rate() const {
-    return ckpt_writes_.empty()
-               ? 0.0
-               : ckpt_bandwidth_ / static_cast<double>(ckpt_writes_.size());
-  }
-  void advance_ckpt_writes(SimTime now);
-  void arm_ckpt_guard(SimTime now);
-  /// Drops writes whose attempt died (counting them lost); call wherever an
-  /// attempt can be killed.
+  /// Books a write whose attempt died as lost I/O.
+  void ckpt_write_lost(const SharedChannel::Flow& w, SimTime now);
+  /// Drops writes whose attempt died (counting them lost).
   void purge_stale_ckpt_writes(SimTime now);
   /// Stages the killed attempt's true executed seconds (committed + live
   /// segment) with the framework so salvage charges exact lost work.
@@ -278,15 +287,7 @@ class JobEngine {
   /// own memory request policy). Inert when MemoryConfig is off.
   TaskMemorySizer sizer_;
   EventQueue queue_;
-  struct ActiveTransfer {
-    dag::TaskId task = dag::kInvalidTask;
-    std::uint32_t attempt = 0;
-    bool inbound = true;
-    double remaining_mb = 0.0;
-  };
-  std::vector<ActiveTransfer> transfers_;
-  SimTime transfers_updated_ = 0.0;
-  std::uint64_t transfer_epoch_ = 0;
+  SharedChannel fabric_;
   /// Per-task segmented-execution state of the *current* attempt (valid only
   /// while `attempt` matches TaskRuntime::attempts). exec_total is the
   /// attempt's post-salvage execution demand; exec_done the seconds already
@@ -302,19 +303,9 @@ class JobEngine {
     /// TaskFaulted/TaskOom of a doomed attempt.
     EventKind terminal = EventKind::ExecDone;
   };
-  struct ActiveCkptWrite {
-    dag::TaskId task = dag::kInvalidTask;
-    std::uint32_t attempt = 0;
-    double remaining_mb = 0.0;
-    SimTime started = 0.0;
-  };
   std::vector<TaskCkptState> ckpt_states_;
-  std::vector<ActiveCkptWrite> ckpt_writes_;
-  SimTime ckpt_writes_updated_ = 0.0;
-  std::uint64_t ckpt_epoch_ = 0;
-  /// Effective channel bandwidth (arbiter share; starts at the configured
-  /// full channel) and the cooperative-staggering window.
-  double ckpt_bandwidth_ = 0.0;
+  SharedChannel ckpt_channel_;
+  /// The cooperative-staggering window.
   SimTime ckpt_window_offset_ = 0.0;
   double ckpt_window_length_ = 0.0;
   double ckpt_window_period_ = 0.0;

@@ -129,7 +129,8 @@ TEST(Arbiter, FifoExclusiveBacksTheOldestJob) {
   const std::vector<TenantDemand> tenants = {demand(1, 5.0, 2, 8),
                                              demand(0, 1.0, 3, 4)};
   const std::vector<std::uint32_t> shares =
-      allocate_shares(ArbiterStrategy::FifoExclusive, 10, tenants);
+      allocate_shares(ArbiterStrategy::FifoExclusive,
+                      ArbiterConfig{10}, tenants);
   EXPECT_EQ(shares[0], 2u);
   EXPECT_EQ(shares[1], 8u);
 }
@@ -138,7 +139,8 @@ TEST(Arbiter, FifoTiesBreakOnJobId) {
   const std::vector<TenantDemand> tenants = {demand(2, 1.0, 0, 4),
                                              demand(1, 1.0, 0, 4)};
   const std::vector<std::uint32_t> shares =
-      allocate_shares(ArbiterStrategy::FifoExclusive, 6, tenants);
+      allocate_shares(ArbiterStrategy::FifoExclusive,
+                      ArbiterConfig{6}, tenants);
   EXPECT_EQ(shares[0], 0u);  // job 2 waits
   EXPECT_EQ(shares[1], 6u);  // job 1 wins the tie
 }
@@ -148,7 +150,8 @@ TEST(Arbiter, FairShareSplitsEntitlementsWithRemainderToEarliest) {
   const std::vector<TenantDemand> tenants = {
       demand(0, 1.0, 0, 10), demand(1, 2.0, 0, 10), demand(2, 3.0, 0, 10)};
   const std::vector<std::uint32_t> shares =
-      allocate_shares(ArbiterStrategy::StaticFairShare, 10, tenants);
+      allocate_shares(ArbiterStrategy::StaticFairShare,
+                      ArbiterConfig{10}, tenants);
   EXPECT_EQ(shares[0], 4u);
   EXPECT_EQ(shares[1], 3u);
   EXPECT_EQ(shares[2], 3u);
@@ -160,7 +163,8 @@ TEST(Arbiter, FairShareKeepsOversizedFloors) {
   const std::vector<TenantDemand> tenants = {demand(0, 1.0, 7, 7),
                                              demand(1, 2.0, 1, 6)};
   const std::vector<std::uint32_t> shares =
-      allocate_shares(ArbiterStrategy::StaticFairShare, 8, tenants);
+      allocate_shares(ArbiterStrategy::StaticFairShare,
+                      ArbiterConfig{8}, tenants);
   EXPECT_EQ(shares[0], 7u);
   EXPECT_EQ(shares[1], 1u);
   EXPECT_LE(shares[0] + shares[1], 8u);
@@ -172,7 +176,8 @@ TEST(Arbiter, DemandWeightedGrantsFittingDemandExactly) {
   const std::vector<TenantDemand> tenants = {demand(0, 1.0, 0, 6),
                                              demand(1, 2.0, 0, 3)};
   const std::vector<std::uint32_t> shares =
-      allocate_shares(ArbiterStrategy::DemandWeighted, 10, tenants);
+      allocate_shares(ArbiterStrategy::DemandWeighted,
+                      ArbiterConfig{10}, tenants);
   EXPECT_EQ(shares[0], 6u);
   EXPECT_EQ(shares[1], 3u);
 }
@@ -182,7 +187,8 @@ TEST(Arbiter, DemandWeightedSplitsProportionallyWhenOversubscribed) {
   const std::vector<TenantDemand> tenants = {demand(0, 1.0, 0, 20),
                                              demand(1, 2.0, 0, 20)};
   const std::vector<std::uint32_t> shares =
-      allocate_shares(ArbiterStrategy::DemandWeighted, 10, tenants);
+      allocate_shares(ArbiterStrategy::DemandWeighted,
+                      ArbiterConfig{10}, tenants);
   EXPECT_EQ(shares[0], 5u);
   EXPECT_EQ(shares[1], 5u);
 }
@@ -193,7 +199,7 @@ TEST(Arbiter, ContractHoldsForEveryStrategy) {
       demand(0, 1.0, 4, 9), demand(1, 2.0, 2, 2), demand(2, 2.0, 0, 5)};
   for (ArbiterStrategy strategy : all_strategies()) {
     const std::vector<std::uint32_t> shares =
-        allocate_shares(strategy, 8, tenants);
+        allocate_shares(strategy, ArbiterConfig{8}, tenants);
     std::uint32_t total = 0;
     for (std::size_t i = 0; i < tenants.size(); ++i) {
       EXPECT_GE(shares[i], tenants[i].live_instances)
@@ -207,11 +213,15 @@ TEST(Arbiter, ContractHoldsForEveryStrategy) {
 TEST(Arbiter, RejectsImpossibleInputs) {
   const std::vector<TenantDemand> over = {demand(0, 1.0, 4, 4),
                                           demand(1, 2.0, 3, 3)};
-  EXPECT_THROW(allocate_shares(ArbiterStrategy::StaticFairShare, 6, over),
+  EXPECT_THROW(allocate_shares(ArbiterStrategy::StaticFairShare,
+                               ArbiterConfig{6}, over),
                util::ContractViolation);
-  EXPECT_THROW(allocate_shares(ArbiterStrategy::StaticFairShare, 0, {}),
-               util::ContractViolation);
-  EXPECT_TRUE(allocate_shares(ArbiterStrategy::DemandWeighted, 4, {}).empty());
+  EXPECT_THROW(
+      allocate_shares(ArbiterStrategy::StaticFairShare, ArbiterConfig{0}, {}),
+      util::ContractViolation);
+  EXPECT_TRUE(
+      allocate_shares(ArbiterStrategy::DemandWeighted, ArbiterConfig{4}, {})
+          .empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -277,8 +287,8 @@ TEST(EnsembleDriver, ReportsAreByteReproducible) {
   EnsembleOptions options;
   options.strategy = ArbiterStrategy::DemandWeighted;
   options.site_cap = 6;
-  const PolicyFactory factory =
-      exp::policy_factory(exp::PolicyKind::ReactiveConserving);
+  const ShardedPolicyFactory factory =
+      exp::sharded_policy_factory(exp::PolicyKind::ReactiveConserving);
 
   EnsembleDriver first(small_profiles(), burst_stream(5, 120.0), factory,
                        site, options);
@@ -298,9 +308,10 @@ TEST(EnsembleDriver, CapacityInvariantHoldsAtEveryEvent) {
     EnsembleOptions options;
     options.strategy = strategy;
     options.site_cap = 4;
-    EnsembleDriver driver(small_profiles(), burst_stream(5, 60.0),
-                          exp::policy_factory(exp::PolicyKind::PureReactive),
-                          quiet_site(), options);
+    EnsembleDriver driver(
+        small_profiles(), burst_stream(5, 60.0),
+        exp::sharded_policy_factory(exp::PolicyKind::PureReactive),
+        quiet_site(), options);
     std::size_t samples = 0;
     driver.set_site_listener([&](const SiteSample& sample) {
       ++samples;
@@ -325,9 +336,10 @@ TEST(EnsembleDriver, FifoAdmitsOneJobAtATime) {
   options.strategy = ArbiterStrategy::FifoExclusive;
   options.site_cap = 4;
   options.dedicated_baseline = false;
-  EnsembleDriver driver(small_profiles(), burst_stream(4, 30.0),
-                        exp::policy_factory(exp::PolicyKind::PureReactive),
-                        quiet_site(), options);
+  EnsembleDriver driver(
+      small_profiles(), burst_stream(4, 30.0),
+      exp::sharded_policy_factory(exp::PolicyKind::PureReactive), quiet_site(),
+      options);
   driver.set_site_listener([](const SiteSample& sample) {
     std::size_t running = 0;
     for (std::uint32_t live : sample.live) running += live > 0 ? 1 : 0;
@@ -347,9 +359,10 @@ TEST(EnsembleDriver, JobsRetireWithConsistentTimestamps) {
   EnsembleOptions options;
   options.strategy = ArbiterStrategy::StaticFairShare;
   options.site_cap = 6;
-  EnsembleDriver driver(small_profiles(), burst_stream(4, 300.0),
-                        exp::policy_factory(exp::PolicyKind::ReactiveConserving),
-                        quiet_site(), options);
+  EnsembleDriver driver(
+      small_profiles(), burst_stream(4, 300.0),
+      exp::sharded_policy_factory(exp::PolicyKind::ReactiveConserving),
+      quiet_site(), options);
   const EnsembleReport report = driver.run();
   ASSERT_EQ(report.jobs.size(), 4u);
   for (const JobOutcome& j : report.jobs) {
@@ -434,7 +447,7 @@ TEST(EnsembleDriver, TenantSnapshotsAreIsolated) {
   std::vector<std::string> violations;
   EnsembleDriver driver(
       small_profiles(), burst_stream(4, 60.0),
-      [&]() {
+      [&](std::uint32_t) {
         return std::make_unique<IsolationProbePolicy>(6, &violations);
       },
       quiet_site(), options);
@@ -446,8 +459,8 @@ TEST(EnsembleDriver, TenantSnapshotsAreIsolated) {
 
 TEST(EnsembleDriver, RejectsMalformedSetups) {
   const sim::CloudConfig site = quiet_site();
-  const PolicyFactory factory =
-      exp::policy_factory(exp::PolicyKind::PureReactive);
+  const ShardedPolicyFactory factory =
+      exp::sharded_policy_factory(exp::PolicyKind::PureReactive);
   EXPECT_THROW(EnsembleDriver({}, burst_stream(2, 60.0), factory, site),
                util::ContractViolation);
   std::vector<JobArrival> bad(1);

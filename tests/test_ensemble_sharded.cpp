@@ -87,7 +87,8 @@ EnsembleReport run_report(const sim::CloudConfig& site,
   options.shards = shards;
   options.threads = threads;
   EnsembleDriver driver(small_profiles(), burst_stream(jobs, 90.0, stream_seed),
-                        exp::policy_factory(kind, wire_options), site, options);
+                        exp::sharded_policy_factory(kind, wire_options), site,
+                        options);
   return driver.run();
 }
 
@@ -99,7 +100,8 @@ TEST(TenantShardMap, GoldenPartitionNeverChanges) {
   // partitions only if the default-seed map stays exactly this. If this test
   // fails, the map changed — that is a breaking change to recorded runs, not
   // a tweak.
-  const std::uint64_t seed = 0x5A17D5ull;  // EnsembleOptions default
+  const std::uint64_t seed = 0x5A17D5ull;
+  EXPECT_EQ(kTenantShardSeed, seed);  // the seed the driver partitions with
   const std::uint32_t expect4[16] = {2, 0, 1, 0, 3, 2, 1, 2,
                                      0, 3, 0, 3, 0, 3, 3, 2};
   const std::uint32_t expect3[16] = {2, 0, 1, 1, 2, 1, 0, 0,
@@ -376,9 +378,10 @@ TEST(ShardedDriver, CapacityInvariantHoldsAtSerialPoints) {
   options.dedicated_baseline = false;
   options.shards = 4;
   options.threads = 2;
-  EnsembleDriver driver(small_profiles(), burst_stream(5, 60.0),
-                        exp::policy_factory(exp::PolicyKind::PureReactive),
-                        quiet_site(), options);
+  EnsembleDriver driver(
+      small_profiles(), burst_stream(5, 60.0),
+      exp::sharded_policy_factory(exp::PolicyKind::PureReactive), quiet_site(),
+      options);
   std::size_t samples = 0;
   driver.set_site_listener([&](const SiteSample& sample) {
     ++samples;
@@ -410,7 +413,8 @@ EnsembleReport run_budget_report(const sim::CloudConfig& site,
   budget.budget_units = budget_units;
   EnsembleDriver driver(
       small_profiles(), burst_stream(jobs, 90.0, stream_seed),
-      exp::budget_policy_factory(exp::PolicyKind::ReactiveConserving, budget),
+      exp::sharded_budget_policy_factory(exp::PolicyKind::ReactiveConserving,
+                                         budget),
       site, options);
   return driver.run();
 }
@@ -476,7 +480,7 @@ TEST(BudgetArbitration, ShardInvariantUnderFaultChaos) {
 TEST(BudgetArbitration, BudgetOffKeepsBaselineBytes) {
   // The budget-off identity contract at the ensemble layer: a zero budget
   // through the budget factory (and EnsembleOptions left at its 0 default)
-  // must reproduce the plain factory's report bytes, sharded or not.
+  // must reproduce the unbudgeted factory's report bytes, sharded or not.
   const sim::CloudConfig site = quiet_site();
   EnsembleOptions options;
   options.strategy = ArbiterStrategy::DemandWeighted;

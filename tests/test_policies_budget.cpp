@@ -219,11 +219,12 @@ TEST(Budget, DisabledIsBytePassthroughUnderFaultChaos) {
 TEST(Budget, DisabledFactoryMatchesPlainFactory) {
   const dag::Workflow wf = workload::make_workflow(
       workload::pagerank_profile(workload::Scale::Small), 7);
-  auto plain = exp::policy_factory(exp::PolicyKind::ReactiveConserving);
-  auto budgeted = exp::budget_policy_factory(
+  auto plain =
+      exp::sharded_policy_factory(exp::PolicyKind::ReactiveConserving);
+  auto budgeted = exp::sharded_budget_policy_factory(
       exp::PolicyKind::ReactiveConserving, budget_of(0.0));
-  auto a = plain();
-  auto b = budgeted();
+  auto a = plain(0);
+  auto b = budgeted(0);
   expect_same_run(run(wf, *a, cloud(), 7), run(wf, *b, cloud(), 7),
                   /*include_name=*/true);
 }
@@ -604,7 +605,8 @@ TEST(BudgetArbitration, TinyPositiveBudgetStillOutbidsExhaustion) {
   tenants[1].requested_pool = 4;
   tenants[1].remaining_budget_units = 1.0 / 64.0;  // nearly broke, solvent
   const std::vector<std::uint32_t> shares = ensemble::allocate_shares(
-      ensemble::ArbiterStrategy::BudgetWeighted, /*site_cap=*/8, tenants);
+      ensemble::ArbiterStrategy::BudgetWeighted, ensemble::ArbiterConfig{8},
+      tenants);
   ASSERT_EQ(shares.size(), 2u);
   // The exhausted tenant keeps only what it holds; the solvent one's
   // fixed-point weight is floored at 1, so its full unmet demand is funded
@@ -617,7 +619,8 @@ TEST(BudgetArbitration, TinyPositiveBudgetStillOutbidsExhaustion) {
   // and an unreported tenant (-1) still bids as one unit (weight 16).
   tenants[1].remaining_budget_units = -1.0;
   const std::vector<std::uint32_t> unreported = ensemble::allocate_shares(
-      ensemble::ArbiterStrategy::BudgetWeighted, 8, tenants);
+      ensemble::ArbiterStrategy::BudgetWeighted, ensemble::ArbiterConfig{8},
+      tenants);
   EXPECT_EQ(unreported[1], 4u);
 }
 

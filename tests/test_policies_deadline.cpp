@@ -91,6 +91,38 @@ TEST(Deadline, PastDeadlineGoesAllOut) {
   }
 }
 
+TEST(Deadline, RevokingInstanceIsNotStableCapacity) {
+  // Past the deadline the target is the useful maximum: 8 tasks / 4 slots =
+  // 2 instances. Of the two Ready instances one is under a revocation
+  // notice, so only one counts as stable capacity: grow one replacement and
+  // never hand the doomed instance back as a release victim.
+  const dag::Workflow wf = workload::linear_workflow(1, 8, 300.0);
+  DeadlinePolicy policy(100.0);
+  policy.on_run_start(wf, cloud());
+  sim::MonitorSnapshot snap;
+  snap.now = 200.0;
+  snap.tasks.assign(8, sim::TaskObservation{});
+  for (dag::TaskId t = 0; t < 8; ++t) {
+    snap.tasks[t].phase = sim::TaskPhase::Ready;
+    snap.tasks[t].ready_since = 0.0;
+    snap.ready_queue.push_back(t);
+  }
+  snap.incomplete_tasks = 8;
+  for (sim::InstanceId id = 0; id < 2; ++id) {
+    sim::InstanceObservation inst;
+    inst.id = id;
+    inst.ready_at = 0.0;
+    inst.time_to_next_charge = 10.0;
+    inst.free_slots = 4;
+    snap.instances.push_back(inst);
+  }
+  snap.instances[1].revoking = true;
+  snap.instances[1].revoke_at = 230.0;
+  const sim::PoolCommand cmd = policy.plan(snap);
+  EXPECT_EQ(cmd.grow, 1u);
+  EXPECT_TRUE(cmd.releases.empty());
+}
+
 TEST(Deadline, AheadOfScheduleReleases) {
   // A heavy wide burst then a narrow serial tail, with a deadline that
   // forces scale-out for the burst but is comfortably met afterwards: the
