@@ -1,18 +1,16 @@
-// Ensemble scale trajectory: sequential-reference vs sharded windowed
-// execution of the multi-tenant driver, swept over tenant count x shard
-// count on one site.
+// Ensemble scale trajectory: the multi-tenant driver's sequential reference
+// loop vs its windowed engine, swept over tenant count on one site.
 //
 // Each cell runs the identical job stream (same arrivals, same seeds, same
-// arbitration) under a different execution configuration and records the
-// wall-clock of the whole run plus the serial-event count. The sharded
-// engine's contract is that the EnsembleReport is byte-identical to the
-// shards == 0 reference for every configuration, so the sweep doubles as a
-// large-scale differential check: any cell whose report diverges from its
-// reference fails the bench.
+// arbitration) on one driver loop and records the wall-clock of the whole
+// run plus the site-sample count. The windowed engine's contract is that
+// the EnsembleReport is byte-identical to the shards == 0 reference, so the
+// sweep doubles as a large-scale differential check: any windowed cell
+// whose report diverges from its reference fails the bench.
 //
-// `--smoke` runs one reduced tenant-count column (sequential + one sharded
-// configuration) as the CI tripwire: asserts byte-identical reports and
-// emits the JSON series. Exits nonzero on violation.
+// `--smoke` runs one reduced tenant-count column as the CI tripwire:
+// asserts byte-identical reports and emits the JSON series. Exits nonzero
+// on violation.
 //
 // Both modes emit machine-readable BENCH_scale.json (the recorded scale
 // trajectory) in bench_results/, in the same perf-trajectory idiom as
@@ -41,7 +39,7 @@ constexpr std::uint64_t kSeedRoot = 4111;
 
 /// Deterministic quiet site (no stochastic variability) so every cell of the
 /// sweep simulates the identical event sequence and wall-clock differences
-/// measure the execution engine, nothing else.
+/// measure the driver loop, nothing else.
 sim::CloudConfig scale_site() {
   sim::CloudConfig config;
   config.lag_seconds = 180.0;
@@ -68,22 +66,28 @@ ensemble::ArrivalProcess dense_stream(std::uint32_t jobs) {
   return ensemble::ArrivalProcess::fixed_trace(std::move(trace), kSeedRoot);
 }
 
+enum class Engine { Reference, Windowed };
+
+const char* engine_name(Engine engine) {
+  return engine == Engine::Reference ? "reference" : "windowed";
+}
+
 struct CellResult {
   std::uint32_t tenants = 0;
-  std::uint32_t shards = 0;  // 0 = sequential reference loop
+  Engine engine = Engine::Reference;
   double wall_ms = 0.0;
-  /// Site-listener samples (serial events in windowed mode; every event in
-  /// the reference loop — the cadences differ by design, so latency is
+  /// Site-listener samples (site events in the windowed engine; every event
+  /// in the reference loop — the cadences differ by design, so latency is
   /// compared through wall_ms, not per-sample time).
   std::uint64_t samples = 0;
   /// Largest concurrently live tenant population seen at any sample — the
   /// arbitration fan-in the cell actually sustained.
   std::uint32_t peak_live_tenants = 0;
-  double speedup_vs_sequential = 0.0;
+  double speedup_vs_reference = 0.0;
   ensemble::EnsembleReport report;
 };
 
-CellResult run_cell(std::uint32_t tenants, std::uint32_t shards) {
+CellResult run_cell(std::uint32_t tenants, Engine engine) {
   ensemble::EnsembleOptions options;
   options.strategy = ensemble::ArbiterStrategy::DemandWeighted;
   // A quarter of the stream can hold instances at once: enough contention
@@ -91,10 +95,10 @@ CellResult run_cell(std::uint32_t tenants, std::uint32_t shards) {
   // capacity that the stream drains in bounded sim time.
   options.site_cap = std::max(8u, tenants / 4);
   options.dedicated_baseline = false;
-  options.shards = shards;
+  options.shards = engine == Engine::Reference ? 0 : 1;
   CellResult result;
   result.tenants = tenants;
-  result.shards = shards;
+  result.engine = engine;
   ensemble::EnsembleDriver driver(
       {workload::tpch6_profile(workload::Scale::Small),
        workload::pagerank_profile(workload::Scale::Small)},
@@ -132,13 +136,13 @@ void write_json(const std::vector<CellResult>& cells, bool smoke) {
     const CellResult& c = cells[i];
     std::fprintf(
         f,
-        "    {\"tenants\": %u, \"shards\": %u, \"wall_ms\": %.17g, "
+        "    {\"tenants\": %u, \"engine\": \"%s\", \"wall_ms\": %.17g, "
         "\"samples\": %llu, \"peak_live_tenants\": %u, "
-        "\"speedup_vs_sequential\": %.17g, \"horizon_s\": %.17g, "
+        "\"speedup_vs_reference\": %.17g, \"horizon_s\": %.17g, "
         "\"site_utilization\": %.17g}%s\n",
-        c.tenants, c.shards, c.wall_ms,
+        c.tenants, engine_name(c.engine), c.wall_ms,
         static_cast<unsigned long long>(c.samples), c.peak_live_tenants,
-        c.speedup_vs_sequential, c.report.horizon_seconds,
+        c.speedup_vs_reference, c.report.horizon_seconds,
         c.report.site_utilization, i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -146,50 +150,40 @@ void write_json(const std::vector<CellResult>& cells, bool smoke) {
   std::printf("(scale trajectory written to %s)\n", path.c_str());
 }
 
-/// Runs one tenant-count column: the sequential reference first, then every
-/// sharded configuration, differentially checked against the reference.
-/// Returns nonzero if any report diverged.
-int run_column(std::uint32_t tenants, const std::vector<std::uint32_t>& shards,
-               std::vector<CellResult>* cells) {
-  int rc = 0;
-  CellResult reference = run_cell(tenants, 0);
-  std::printf(
-      "  tenants=%-5u shards=seq  wall=%9.1f ms  samples=%llu  "
-      "peak-live=%u\n",
-      tenants, reference.wall_ms,
-      static_cast<unsigned long long>(reference.samples),
-      reference.peak_live_tenants);
-  for (std::uint32_t s : shards) {
-    CellResult cell = run_cell(tenants, s);
-    const bool identical = cell.report == reference.report &&
-                           cell.report.render() == reference.report.render();
-    cell.speedup_vs_sequential =
-        cell.wall_ms > 0.0 ? reference.wall_ms / cell.wall_ms : 0.0;
+/// Runs one tenant-count column: the reference loop, then the windowed
+/// engine, differentially checked against it. Returns nonzero if the
+/// reports diverged.
+int run_column(std::uint32_t tenants, std::vector<CellResult>* cells) {
+  CellResult reference = run_cell(tenants, Engine::Reference);
+  CellResult windowed = run_cell(tenants, Engine::Windowed);
+  const bool identical = windowed.report == reference.report &&
+                         windowed.report.render() == reference.report.render();
+  windowed.speedup_vs_reference =
+      windowed.wall_ms > 0.0 ? reference.wall_ms / windowed.wall_ms : 0.0;
+  for (const CellResult* c : {&reference, &windowed}) {
     std::printf(
-        "  tenants=%-5u shards=%-4u wall=%9.1f ms  samples=%llu  "
-        "peak-live=%u  speedup=%.2fx%s\n",
-        tenants, s, cell.wall_ms,
-        static_cast<unsigned long long>(cell.samples), cell.peak_live_tenants,
-        cell.speedup_vs_sequential,
-        identical ? "" : "  REPORT-DIVERGENCE");
-    if (!identical) {
-      std::printf(
-          "    FAIL: shards=%u report differs from the sequential "
-          "reference\n",
-          s);
-      rc = 1;
-    }
-    cells->push_back(std::move(cell));
+        "  tenants=%-5u engine=%-9s wall=%9.1f ms  samples=%llu  "
+        "peak-live=%u\n",
+        tenants, engine_name(c->engine), c->wall_ms,
+        static_cast<unsigned long long>(c->samples), c->peak_live_tenants);
   }
+  std::printf("  speedup=%.2fx%s\n", windowed.speedup_vs_reference,
+              identical ? "" : "  REPORT-DIVERGENCE");
+  if (!identical) {
+    std::printf(
+        "    FAIL: the windowed report differs from the sequential "
+        "reference\n");
+  }
+  cells->push_back(std::move(windowed));
   cells->push_back(std::move(reference));
-  return rc;
+  return identical ? 0 : 1;
 }
 
 int run_smoke() {
-  std::printf("bench_scale --smoke: sharding tripwire (seed root %llu)\n",
+  std::printf("bench_scale --smoke: windowed-engine tripwire (seed root %llu)\n",
               static_cast<unsigned long long>(kSeedRoot));
   std::vector<CellResult> cells;
-  int rc = run_column(192, {4}, &cells);
+  const int rc = run_column(192, &cells);
   write_json(cells, /*smoke=*/true);
   if (rc != 0) std::printf("bench_scale --smoke FAILED\n");
   return rc;
@@ -203,12 +197,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Ensemble scale sweep: tenant count x shard count (seed root %llu)\n\n",
+      "Ensemble scale sweep: tenant count x driver loop (seed root %llu)\n\n",
       static_cast<unsigned long long>(kSeedRoot));
   int rc = 0;
   std::vector<CellResult> cells;
   for (std::uint32_t tenants : {256u, 1024u}) {
-    rc |= run_column(tenants, {1, 2, 4, 8}, &cells);
+    rc |= run_column(tenants, &cells);
     std::printf("\n");
   }
   // The headline claim of the sweep: the big column really sustains a

@@ -7,15 +7,13 @@
 // control tick: the busy-slot heap, the free-slot heap, the projected ready
 // queue, the Q_task emission buffers, the victim-candidate list. Each is
 // empty again by the end of the tick, so a single controller can reuse one
-// set of buffers forever — and because the ensemble driver only runs plan()
-// at serial points of its windowed loop (control ticks are demand-relevant
-// events, handled one at a time on the driver thread; see ensemble/driver.h),
-// N tenant controllers can share ONE arena instead of paying N sets of
-// allocation churn. Sharing requires that serialization: the arena holds no
-// cross-tick state, but it is not thread-safe and two policies must never be
-// mid-plan() on it concurrently. The one parallel context — per-shard
-// dedicated-baseline replays in the sharded driver — uses one arena per
-// shard instead (exp::sharded_policy_factory).
+// set of buffers forever — and because the ensemble driver steps one tenant
+// at a time on the calling thread (see ensemble/driver.h), N tenant
+// controllers can share ONE arena instead of paying N sets of allocation
+// churn (exp::sharded_policy_factory mints every WIRE controller onto one).
+// Sharing requires that serialization: the arena holds no cross-tick state,
+// but it is not thread-safe and two policies must never be mid-plan() on it
+// concurrently.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "ensemble/driver.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
@@ -9,7 +10,6 @@
 #include "sim/driver.h"
 #include "sim/engine.h"
 #include "util/check.h"
-#include "util/rng.h"
 #include "workload/generators.h"
 
 namespace wire::ensemble {
@@ -17,19 +17,11 @@ namespace wire::ensemble {
 namespace {
 constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
 
-
 template <class T>
 void erase_slot(std::vector<T>& v, std::size_t slot) {
   v.erase(v.begin() + static_cast<std::ptrdiff_t>(slot));
 }
 }  // namespace
-
-std::uint32_t tenant_shard(std::uint64_t shard_seed, std::uint32_t shards,
-                           std::uint32_t job) {
-  if (shards <= 1) return 0;
-  return static_cast<std::uint32_t>(util::derive_seed(shard_seed, job) %
-                                    shards);
-}
 
 struct EnsembleDriver::Tenant {
   enum class State { Waiting, Active, Done };
@@ -39,10 +31,6 @@ struct EnsembleDriver::Tenant {
   std::unique_ptr<sim::ScalingPolicy> policy;
   std::unique_ptr<sim::JobEngine> engine;
   State state = State::Waiting;
-  /// Index in tenants_ (== arrival order) — the canonical tie-break.
-  std::size_t index = 0;
-  /// Fixed shard this tenant is pinned to (tenant_shard of its job id).
-  std::uint32_t shard = 0;
   sim::SimTime admitted_at = -1.0;
   sim::SimTime completed_at = -1.0;
   sim::RunResult result;
@@ -78,6 +66,14 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
   WIRE_REQUIRE(options_.site_cap >= 1, "site cap must be at least one");
   WIRE_REQUIRE(options_.initial_instances >= 1,
                "jobs bootstrap with at least one instance");
+  WIRE_REQUIRE(std::isfinite(options_.max_sim_seconds) &&
+                   options_.max_sim_seconds > 0.0,
+               "max_sim_seconds must be finite and positive");
+  WIRE_REQUIRE(std::isfinite(options_.budget_units) &&
+                   options_.budget_units >= 0.0,
+               "budget must be finite and non-negative");
+  WIRE_REQUIRE(options_.shards <= 1,
+               "shards is 0 (reference loop) or 1 (windowed engine)");
   for (const JobArrival& a : arrivals_.jobs()) {
     WIRE_REQUIRE(a.profile_index < profiles_.size(),
                  "arrival references an unknown profile");
@@ -114,10 +110,7 @@ void EnsembleDriver::retire(std::size_t slot, sim::SimTime now) {
 void EnsembleDriver::admit_arrival(const JobArrival& a) {
   auto tenant = std::make_unique<Tenant>(
       a, workload::make_workflow(profiles_[a.profile_index], a.workflow_seed));
-  tenant->index = tenants_.size();
-  tenant->shard = tenant_shard(kTenantShardSeed,
-                               std::max(1u, options_.shards), a.job);
-  tenant->policy = policy_factory_(tenant->shard);
+  tenant->policy = policy_factory_(0);
   sim::RunOptions run_options;
   run_options.seed = a.run_seed;
   run_options.initial_instances = options_.initial_instances;
@@ -281,8 +274,7 @@ double EnsembleDriver::dedicated_makespan(const Tenant& tenant) {
   // seed, same policy kind) alone on the full site.
   sim::CloudConfig dedicated = cloud_;
   dedicated.max_instances = options_.site_cap;
-  const std::unique_ptr<sim::ScalingPolicy> policy =
-      policy_factory_(tenant.shard);
+  const std::unique_ptr<sim::ScalingPolicy> policy = policy_factory_(0);
   sim::RunOptions run_options;
   run_options.seed = tenant.arrival.run_seed;
   run_options.initial_instances = options_.initial_instances;
@@ -342,13 +334,7 @@ void EnsembleDriver::run_sequential_loop() {
 void EnsembleDriver::run_windowed_loop() {
   std::size_t next_arrival = 0;
   const std::vector<JobArrival>& stream = arrivals_.jobs();
-  const std::uint32_t shards = std::max(1u, options_.shards);
-  if (shards > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.threads);
-  }
   const sim::SimTime max = options_.max_sim_seconds;
-  // Slots of the tenants each shard advances this window, in arrival order.
-  std::vector<std::vector<std::size_t>> due(shards);
 
   for (;;) {
     const sim::SimTime arrival_time = next_arrival < stream.size()
@@ -364,53 +350,35 @@ void EnsembleDriver::run_windowed_loop() {
       horizon = std::min(horizon, when);
     }
 
-    // Due tenants: running engines with a local event below the horizon (a
-    // finished engine awaiting retirement keeps its completion time as key).
-    bool advance_pending = false;
-    for (std::vector<std::size_t>& slots : due) slots.clear();
+    // Local advance: every due tenant (a running engine with a local event
+    // below the horizon; a finished engine awaiting retirement keeps its
+    // completion time as key) runs its local events strictly below the
+    // horizon. Local handlers never touch caps or demand, so this is
+    // byte-equivalent to processing the same events interleaved in global
+    // time order.
     for (std::size_t i = 0; i < open_.size(); ++i) {
-      if (next_at_[i] < horizon && next_at_[i] <= max &&
-          !open_[i]->engine->done()) {
-        due[open_[i]->shard].push_back(i);
-        advance_pending = true;
+      const Tenant& t = *open_[i];
+      sim::JobEngine& engine = *t.engine;
+      if (next_at_[i] >= horizon || next_at_[i] > max || engine.done()) {
+        continue;
       }
+      WIRE_CHECK(t.next_event_site_time() == next_at_[i],
+                 "stale cached event key");
+      while (!engine.done()) {
+        const sim::SimTime when = t.next_event_site_time();
+        if (when >= horizon || when > max) break;
+        engine.step();
+      }
+      WIRE_CHECK(engine.done() || t.next_demand_site_time() >= horizon,
+                 "local advance crossed a demand-relevant event");
+      refresh(i);
     }
 
-    if (advance_pending) {
-      // Parallel phase: every shard advances its due engines through their
-      // local events strictly below the horizon. Local handlers never touch
-      // caps or demand, so this is byte-equivalent to processing the same
-      // events interleaved in global time order.
-      const auto advance_shard = [&](std::size_t s) {
-        for (const std::size_t i : due[s]) {
-          const Tenant& t = *open_[i];
-          sim::JobEngine& engine = *t.engine;
-          WIRE_CHECK(t.next_event_site_time() == next_at_[i],
-                     "stale cached event key");
-          while (!engine.done()) {
-            const sim::SimTime when = t.next_event_site_time();
-            if (when >= horizon || when > max) break;
-            engine.step();
-          }
-          WIRE_CHECK(engine.done() || t.next_demand_site_time() >= horizon,
-                     "local advance crossed a demand-relevant event");
-        }
-      };
-      if (pool_) {
-        pool_->run_batch(shards, advance_shard);
-      } else {
-        advance_shard(0);
-      }
-      for (const std::vector<std::size_t>& slots : due) {
-        for (const std::size_t i : slots) refresh(i);
-      }
-    }
-
-    // Serial phase: exactly one site action — the earliest among the next
-    // arrival, pending retirements (engines that completed during the
-    // parallel phase, at their completion times), and tracked tenant events
-    // (all >= horizon now). Ties: arrivals first, then lowest tenant index —
-    // the same total order the sequential reference scan induces.
+    // Site event: exactly one site action — the earliest among the next
+    // arrival, pending retirements (engines that completed during the local
+    // advance, at their completion times), and tracked tenant events (all
+    // >= horizon now). Ties: arrivals first, then lowest tenant index — the
+    // same total order the sequential reference scan induces.
     std::size_t next_slot = open_.size();
     sim::SimTime tenant_time = kNever;
     for (std::size_t i = 0; i < open_.size(); ++i) {
@@ -445,8 +413,6 @@ void EnsembleDriver::run_windowed_loop() {
     }
     rebalance(now, /*full=*/false);
   }
-
-  pool_.reset();
 }
 
 EnsembleReport EnsembleDriver::assemble_report() {
@@ -457,28 +423,6 @@ EnsembleReport EnsembleDriver::assemble_report() {
   report.arbiter_strategy = strategy_name(options_.strategy);
   report.site_cap = options_.site_cap;
   report.slots_per_instance = cloud_.slots_per_instance;
-
-  // Dedicated-baseline counterfactuals are whole independent simulations, so
-  // they parallelize across shards (policies of different shards share
-  // nothing mutable). Each result lands in its tenant's slot, so assembly
-  // below is order-independent.
-  std::vector<double> dedicated(tenants_.size(), 0.0);
-  if (options_.dedicated_baseline) {
-    const std::uint32_t shards = std::max(1u, options_.shards);
-    if (shards > 1) {
-      util::ThreadPool pool(options_.threads);
-      pool.run_batch(shards, [&](std::size_t s) {
-        for (const std::unique_ptr<Tenant>& t : tenants_) {
-          if (t->shard != s) continue;
-          dedicated[t->index] = dedicated_makespan(*t);
-        }
-      });
-    } else {
-      for (const std::unique_ptr<Tenant>& t : tenants_) {
-        dedicated[t->index] = dedicated_makespan(*t);
-      }
-    }
-  }
 
   for (const std::unique_ptr<Tenant>& t : tenants_) {
     WIRE_CHECK(t->state == Tenant::State::Done, "unfinished tenant at exit");
@@ -491,7 +435,7 @@ EnsembleReport EnsembleDriver::assemble_report() {
     j.queue_wait_seconds = t->admitted_at - t->arrival.arrival_seconds;
     j.makespan_seconds = t->result.makespan;
     if (options_.dedicated_baseline) {
-      j.dedicated_makespan_seconds = dedicated[t->index];
+      j.dedicated_makespan_seconds = dedicated_makespan(*t);
       j.slowdown = (j.queue_wait_seconds + j.makespan_seconds) /
                    j.dedicated_makespan_seconds;
     }

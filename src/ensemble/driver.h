@@ -3,7 +3,7 @@
 // fresh one from the policy factory) wrapped in a sim::JobEngine; the driver
 // multiplexes the engines over a single site clock, interleaving their
 // discrete events in global time order. The SiteArbiter partitions the site
-// instance cap among live jobs at every serial event (see the execution
+// instance cap among live jobs at every site event (see the execution
 // model below); each tenant's engine enforces its share on the grow path and
 // surfaces it to the tenant's policy through MonitorSnapshot::pool_cap.
 //
@@ -20,50 +20,46 @@
 // a tenant's share at its live instance count, so 0 can only reach a tenant
 // that currently holds no instances.
 //
-// Execution model (sharded windowed stepping): tenants are partitioned
-// across `EnsembleOptions::shards` shards by a fixed seeded map
-// (tenant_shard); the driver repeatedly computes a horizon H = the earliest
-// pending *demand-relevant* site event (next arrival, or any tenant's next
-// ControlTick / InstanceDrain / InstanceCrash / fault-mode InstanceReady —
-// see JobEngine::next_demand_event_time), advances every shard's engines
-// through their purely local events strictly below H in parallel on a
-// util::ThreadPool, then serially processes exactly one site event (arrival,
-// tracked tenant event, or retirement) and rebalances shares. Local events
-// never read the instance cap and never move the demand signal, so the
-// parallel phase commutes with the serial one and the result is
-// byte-identical to the fully sequential reference for any shard and worker
-// count (EnsembleOptions::shards == 0 keeps that reference loop;
-// tests/test_ensemble_sharded.cpp proves the equivalence differentially).
+// Execution model (windowed stepping, one thread): the driver repeatedly
+// computes a horizon H = the earliest pending *demand-relevant* site event
+// (next arrival, or any tenant's next ControlTick / InstanceDrain /
+// InstanceCrash / fault-mode InstanceReady — see
+// JobEngine::next_demand_event_time), advances every tenant's engine through
+// its purely local events strictly below H, then processes exactly one site
+// event (arrival, tracked tenant event, or retirement) and rebalances shares.
+// Local events never read the instance cap and never move the demand signal,
+// so advancing them ahead commutes with the site events and, without a
+// checkpoint channel, the result is byte-identical to the fully sequential
+// reference (EnsembleOptions::shards == 0 keeps that reference loop;
+// tests/test_ensemble_windowed.cpp proves the equivalence differentially).
 //
 // Incremental serial phase: the driver keeps, in flat vectors parallel to
 // the FIFO list of open tenants, each tenant's arbiter row (TenantDemand),
 // its installed share and checkpoint grant, and its cached site-clock keys
 // (next event, next demand-relevant event). A tenant's row and keys are
-// re-read only when its engine state moved: it stepped (in the parallel
-// advance or at the serial event), arrived, was admitted, or had a
-// checkpoint grant installed. The horizon, due-tenant and next-tenant
-// selections are then passes over contiguous doubles, and the advance
-// visits only due tenants. A rebalance with no changed row (and no arrival
-// or retirement) skips allocate_shares, the checkpoint grants and every
-// install — the allocation is a pure function of the rows — and emits its
-// SiteSample from the cached shares; otherwise it installs caps and grants
-// only where they moved. Rule for anyone adding an install: if it can
-// schedule an engine event (set_checkpoint_channel re-arms the checkpoint
-// guard), the tenant must be re-keyed right after it, or the cached keys go
-// stale. The rows stay in arrival order, so the allocation arithmetic and
-// its (arrival, job id) tie-breaks never depend on shard or thread count.
-// The shards == 0 reference re-reads and re-installs every row at every
-// event, which makes it the oracle for this bookkeeping.
+// re-read only when its engine state moved: it stepped (in the local
+// advance or at the site event), arrived, was admitted, or had a checkpoint
+// grant installed. The horizon, due-tenant and next-tenant selections are
+// then passes over contiguous doubles, and the advance visits only due
+// tenants. A rebalance with no changed row (and no arrival or retirement)
+// skips allocate_shares, the checkpoint grants and every install — the
+// allocation is a pure function of the rows — and emits its SiteSample from
+// the cached shares; otherwise it installs caps and grants only where they
+// moved. Rule for anyone adding an install: if it can schedule an engine
+// event (set_checkpoint_channel re-arms the checkpoint guard), the tenant
+// must be re-keyed right after it, or the cached keys go stale. The rows
+// stay in arrival order, so the allocation arithmetic and its (arrival, job
+// id) tie-breaks are those of the reference. The shards == 0 reference
+// re-reads and re-installs every row at every event, which makes it the
+// oracle for this bookkeeping.
 //
-// Policy-state sharing: tenant policies plan() only at serial points (control
-// ticks), so policies minted for one shard may share one core::PlanScratch
-// in the main loop. Dedicated-baseline runs DO execute whole jobs
-// concurrently, one shard per worker, so policies of different shards must
-// share nothing mutable (exp::sharded_policy_factory mints per-shard
-// arenas). A one-argument lambda that ignores the shard and shares nothing
-// is a valid factory too.
+// Policy-state sharing: the driver runs on the calling thread and steps one
+// tenant at a time — in the main loop and in the dedicated-baseline replays
+// alike — so no two policies are ever mid-plan() at once, and every policy
+// the factory mints may share one core::PlanScratch
+// (exp::sharded_policy_factory mints all WIRE controllers onto one arena).
 //
-// Site listener cadence: the windowed engine emits SiteSamples at serial
+// Site listener cadence: the windowed engine emits SiteSamples at site
 // events only (arrivals, demand-relevant tenant events, retirements) — the
 // points where shares can actually move. The shards == 0 reference loop
 // keeps the historical after-every-event cadence. Share values and the
@@ -81,30 +77,16 @@
 #include "ensemble/report.h"
 #include "sim/config.h"
 #include "sim/scaling_policy.h"
-#include "util/thread_pool.h"
 #include "workload/profiles.h"
 
 namespace wire::ensemble {
 
-/// Shard-aware policy factory: mints a fresh policy for a tenant pinned to
-/// `shard`. Policies minted for the same shard may share scratch state
-/// (exp::sharded_policy_factory shares one PlanScratch arena per shard);
-/// policies of different shards must share nothing mutable, because
-/// dedicated-baseline runs execute different shards concurrently.
+/// Policy factory: mints a fresh policy for each tenant (and for each
+/// dedicated-baseline replay). The driver always passes shard 0; the
+/// argument is kept for existing callers. Policies it mints may share
+/// scratch state, because the driver never runs two of them at once.
 using ShardedPolicyFactory =
     std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t shard)>;
-
-/// Deterministic seeded tenant→shard map: which shard owns job `job` under
-/// `shards`-way partitioning. Pure (SplitMix64 over (shard_seed, job)), so
-/// the partition is stable across runs, platforms, and worker counts. The
-/// driver always passes kTenantShardSeed.
-/// Returns 0 when shards <= 1.
-std::uint32_t tenant_shard(std::uint64_t shard_seed, std::uint32_t shards,
-                           std::uint32_t job);
-
-/// Seed of the driver's tenant→shard map, fixed so recorded runs replay onto
-/// identical partitions.
-inline constexpr std::uint64_t kTenantShardSeed = 0x5A17D5ull;
 
 struct EnsembleOptions {
   ArbiterStrategy strategy = ArbiterStrategy::StaticFairShare;
@@ -112,35 +94,30 @@ struct EnsembleOptions {
   std::uint32_t site_cap = 12;
   /// Per-job bootstrap pool at admission, clamped to the job's share.
   std::uint32_t initial_instances = 1;
-  /// Hard guard against a stuck ensemble (site clock).
+  /// Hard guard against a stuck ensemble (site clock; finite, > 0).
   sim::SimTime max_sim_seconds = 90.0 * 24.0 * 3600.0;
   /// Also run every job alone on the full site (same workflow, policy kind,
   /// seeds) to compute the dedicated-site makespan that per-job slowdown is
   /// measured against. Doubles the simulation work; disable for quick runs
   /// (slowdown and dedicated makespan then report 0).
   bool dedicated_baseline = true;
-  /// Tenant shards for the windowed parallel engine. 0 = the legacy fully
-  /// sequential reference loop; 1 = windowed engine, single shard (no
-  /// threads spawned); >= 2 = parallel shard advance. The EnsembleReport is
-  /// byte-identical across all values.
+  /// Driver loop: 0 = the fully sequential reference loop; 1 = the windowed
+  /// engine. Values of 2 or more are rejected. Without a checkpoint channel
+  /// the EnsembleReport is byte-identical for both values.
   std::uint32_t shards = 1;
-  /// Worker threads backing the shard pool (0 = hardware concurrency).
-  /// Never affects results, only wall-clock.
-  std::uint32_t threads = 0;
   /// Feed each tenant's projected memory demand
   /// (JobEngine::requested_mem_mb) into demand-weighted arbitration via
   /// ArbiterConfig::instance_mem_mb taken from the site's MemoryConfig. Off
   /// by default: baselines stay byte-identical.
   bool memory_aware_demand = false;
-  /// Per-tenant budget (charging units) every job of the stream runs under;
-  /// 0 disables budget accounting entirely (byte-identical baselines). The
-  /// driver does not enforce the budget itself — the tenant's own
-  /// policies::BudgetPolicy does (mint one through
+  /// Per-tenant budget (charging units, finite, >= 0) every job of the
+  /// stream runs under; 0 disables budget accounting entirely
+  /// (byte-identical baselines). The driver does not enforce the budget
+  /// itself — the tenant's own policies::BudgetPolicy does (mint one through
   /// exp::sharded_budget_policy_factory with BudgetOptions::budget_units
-  /// equal to this) — but it seeds the
-  /// demand signal: a tenant whose engine has not yet reported a remaining
-  /// budget bids with the full amount, and the report's per-job budget /
-  /// overrun counters are measured against it.
+  /// equal to this) — but it seeds the demand signal: a tenant whose engine
+  /// has not yet reported a remaining budget bids with the full amount, and
+  /// the report's per-job budget / overrun counters are measured against it.
   double budget_units = 0.0;
   /// Cooperative checkpoint staggering on the shared checkpoint channel
   /// (only meaningful when the site's CheckpointConfig is enabled). Off:
@@ -151,7 +128,7 @@ struct EnsembleOptions {
   bool stagger_checkpoints = false;
 };
 
-/// Site-level observation emitted at every serial event (arrival,
+/// Site-level observation emitted at every site event (arrival,
 /// demand-relevant tenant event, retirement) once shares are rebalanced —
 /// every point where shares can move; the shards == 0 reference loop emits
 /// after every processed event. Tests use it to assert the capacity
@@ -174,8 +151,7 @@ class EnsembleDriver {
   /// `cloud` describes one site instance (its max_instances is ignored —
   /// EnsembleOptions::site_cap is the shared ceiling, and the per-tenant
   /// engines are capped by their arbiter shares instead). Policies are
-  /// minted per tenant shard (exp::sharded_policy_factory), which lets
-  /// dedicated-baseline runs execute shards in parallel.
+  /// minted one per tenant and one per dedicated-baseline replay.
   EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
                  ArrivalProcess arrivals,
                  ShardedPolicyFactory sharded_policy_factory,
@@ -238,8 +214,6 @@ class EnsembleDriver {
   bool rows_changed_ = false;
   /// Sum of rows_[i].live_instances: live instances across the site.
   std::uint32_t live_total_ = 0;
-  /// Worker pool for the windowed engine; null unless shards >= 2.
-  std::unique_ptr<util::ThreadPool> pool_;
   double busy_slot_seconds_ = 0.0;
   double allocated_instance_seconds_ = 0.0;
   bool ran_ = false;

@@ -1,5 +1,5 @@
 // Repetition runner for the experiment matrix: executes (workflow × policy ×
-// charging unit) cells with repeated seeds, fanning out across a thread pool.
+// charging unit) cells with repeated seeds, fanning out across threads.
 // Each run is an isolated, single-threaded simulation, so results are
 // independent of scheduling and fully reproducible from the base seed.
 #pragma once

@@ -1,8 +1,5 @@
 #include "exp/settings.h"
 
-#include <mutex>
-#include <unordered_map>
-
 #include "policies/baselines.h"
 #include "util/check.h"
 
@@ -65,26 +62,12 @@ sharded_policy_factory(PolicyKind kind,
       return make_policy(kind, wire_options);
     };
   }
-  // One Plan scratch arena per shard, created on first use. The mutex makes
-  // concurrent minting safe (the sharded driver mints dedicated-baseline
-  // policies from worker threads); a caller-supplied arena is shared across
-  // all shards as-is — callers doing that opt out of shard isolation.
-  struct ArenaMap {
-    std::mutex mutex;
-    std::unordered_map<std::uint32_t, std::shared_ptr<core::PlanScratch>>
-        arenas;
-  };
-  auto map = std::make_shared<ArenaMap>();
-  return [kind, wire_options, map](std::uint32_t shard) {
-    core::WireOptions shared = wire_options;
-    if (!shared.plan_scratch) {
-      std::lock_guard<std::mutex> lock(map->mutex);
-      std::shared_ptr<core::PlanScratch>& arena = map->arenas[shard];
-      if (!arena) arena = std::make_shared<core::PlanScratch>();
-      shared.plan_scratch = arena;
-    }
-    return make_policy(kind, shared);
-  };
+  // One Plan scratch arena for every controller this factory mints.
+  core::WireOptions shared = wire_options;
+  if (!shared.plan_scratch) {
+    shared.plan_scratch = std::make_shared<core::PlanScratch>();
+  }
+  return [kind, shared](std::uint32_t) { return make_policy(kind, shared); };
 }
 
 std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t)>

@@ -40,24 +40,22 @@ std::unique_ptr<sim::ScalingPolicy> make_policy(
 
 /// A reusable factory for `kind`, in the shape the multi-tenant ensemble
 /// driver consumes: each call mints a fresh policy (one controller per
-/// concurrent job) for a tenant pinned to `shard`. For PolicyKind::Wire,
-/// controllers minted for the same shard share one Plan scratch arena
-/// (created lazily, under a mutex so concurrent dedicated-baseline minting is
-/// safe) — sound because the driver only lets tenant policies plan() at
-/// serial points, never concurrently (see core/plan_scratch.h). Different
-/// shards never share scratch, so whole jobs of different shards may run
-/// concurrently. Scratch identity never affects results (the arena holds no
-/// cross-tick state). Pass WireOptions::plan_scratch to share one arena
-/// across all shards instead (opting out of shard isolation).
+/// concurrent job); the `shard` argument is ignored. For PolicyKind::Wire,
+/// every controller the factory mints shares one Plan scratch arena
+/// (WireOptions::plan_scratch if set, else one made here) — sound because
+/// the driver steps one tenant at a time, so no two policies plan()
+/// concurrently (see core/plan_scratch.h). Scratch identity never affects
+/// results (the arena holds no cross-tick state). A factory's policies must
+/// therefore not be run on different threads at once.
 ///
 /// With `wire_options.bandit` enabled, every minted controller carries its
 /// OWN BanditSelector (per-tenant predictor selection), all seeded from the
 /// same `bandit.seed`. The seed is deliberately NOT mixed with a mint-order
-/// counter: dedicated baselines mint from worker threads concurrently, so
-/// mint order is nondeterministic — per-tenant selector streams still
-/// diverge deterministically because each tenant feeds its selector its own
-/// regret sequence. Selector-off (`bandit.arms == 0`) stays byte-identical
-/// to the pre-bandit factory.
+/// counter, so a job's dedicated-baseline replay (minted after the whole
+/// stream ran) starts from the same selector state as the tenant itself;
+/// per-tenant selector streams still diverge deterministically because each
+/// tenant feeds its selector its own regret sequence. Selector-off
+/// (`bandit.arms == 0`) stays byte-identical to the pre-bandit factory.
 std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t)>
 sharded_policy_factory(PolicyKind kind,
                        const core::WireOptions& wire_options = {});

@@ -21,7 +21,7 @@ struct RunOptions {
   /// Instances that are already booted at t = 0 (the framework master's
   /// bootstrap pool; static policies set this to their fixed size).
   std::uint32_t initial_instances = 1;
-  /// Hard guard against runaway simulations.
+  /// Hard guard against runaway simulations (finite, > 0).
   SimTime max_sim_seconds = 90.0 * 24.0 * 3600.0;
   /// Record (time, live, ready) pool samples at every control tick.
   bool record_pool_timeline = false;

@@ -39,6 +39,9 @@ JobEngine::JobEngine(const dag::Workflow& workflow, ScalingPolicy& policy,
                "charging unit must be positive");
   WIRE_REQUIRE(config.retry.max_attempts > 0, "need at least one attempt");
   WIRE_REQUIRE(config.slots_per_instance > 0, "need at least one slot");
+  WIRE_REQUIRE(std::isfinite(options.max_sim_seconds) &&
+                   options.max_sim_seconds > 0.0,
+               "max_sim_seconds must be finite and positive");
   // The store's constructor journals the same t = 0 bootstrap the master's
   // constructor performs (roots fired as Ready); lifecycle hooks keep it
   // current from here on.
@@ -56,8 +59,8 @@ JobEngine::JobEngine(const dag::Workflow& workflow, ScalingPolicy& policy,
   }
   queue_.set_tracked_kinds(tracked);
   // Checkpoint events are deliberately NOT tracked: commits and fires never
-  // touch live_instances / requested_pool / done, so a sharded multiplexer
-  // may advance them in parallel like any other local event.
+  // touch live_instances / requested_pool / done, so a multiplexer may
+  // advance them ahead of the other tenants like any other local event.
   if (config_.checkpoint.enabled()) ckpt_states_.resize(workflow.task_count());
 }
 

@@ -68,8 +68,8 @@ class JobEngine {
   /// fault injection, where a boot failure can terminate an instance —
   /// InstanceReady. +infinity when none is pending (a done engine). Local
   /// events strictly before this horizon neither read the instance cap nor
-  /// move the demand signal, which is what lets a sharded multiplexer
-  /// advance engines past them in parallel (see ensemble/driver.h).
+  /// move the demand signal, which is what lets a multiplexer advance
+  /// engines past them ahead of the other tenants (see ensemble/driver.h).
   SimTime next_demand_event_time() const { return queue_.next_tracked_time(); }
 
   /// Local time of the event that completed the run; negative until done().

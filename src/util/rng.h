@@ -3,8 +3,8 @@
 // Every stochastic component of the reproduction draws through `Rng`, a thin
 // seeded wrapper over std::mt19937_64. Experiment sweeps derive independent
 // child seeds with `derive_seed` so that (a) each run is reproducible from a
-// single root seed and (b) results do not depend on the order in which a
-// thread pool happens to schedule runs.
+// single root seed and (b) results do not depend on the order in which
+// util::parallel_for happens to schedule runs.
 #pragma once
 
 #include <cstdint>

@@ -1,110 +1,43 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-
-#include "util/check.h"
+#include <atomic>
+#include <exception>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 namespace wire::util {
 
-ThreadPool::ThreadPool(std::size_t threads) {
+void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
+                  std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] {
-        return stopping_ || !jobs_.empty() ||
-               (batch_fn_ != nullptr && batch_next_ < batch_count_);
-      });
-      if (batch_fn_ != nullptr && batch_next_ < batch_count_) {
-        drain_batch(lock);
-        continue;
+  threads = std::min(threads, count);
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
       }
-      if (jobs_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      job = std::move(jobs_.front());
-      jobs_.pop();
     }
-    job();
+  };
+  std::vector<std::thread> workers;
+  try {
+    for (std::size_t t = 1; t < threads; ++t) workers.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // No more threads to be had: the ones started and the caller finish the
+    // work, and every started thread is joined below.
   }
-}
-
-void ThreadPool::drain_batch(std::unique_lock<std::mutex>& lock) {
-  while (batch_fn_ != nullptr && batch_next_ < batch_count_) {
-    const std::size_t index = batch_next_++;
-    const std::function<void(std::size_t)>* fn = batch_fn_;
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      (*fn)(index);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    if (error) batch_errors_[index] = error;
-    ++batch_done_;
-    if (batch_done_ == batch_count_) batch_cv_.notify_all();
+  drain();
+  for (std::thread& w : workers) w.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
-}
-
-void ThreadPool::run_batch(std::size_t count,
-                           const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (workers_.empty() || count == 1) {
-    // No parallelism available (or worthwhile): run inline, preserving the
-    // lowest-index-first exception contract trivially.
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  WIRE_REQUIRE(batch_fn_ == nullptr, "run_batch is not reentrant");
-  batch_fn_ = &fn;
-  batch_count_ = count;
-  batch_next_ = 0;
-  batch_done_ = 0;
-  batch_errors_.assign(count, nullptr);
-  cv_.notify_all();
-  // The caller claims indices too, so progress never depends on workers being
-  // free (they may be blocked behind long submit() jobs).
-  drain_batch(lock);
-  batch_cv_.wait(lock, [this] { return batch_done_ == batch_count_; });
-  batch_fn_ = nullptr;
-  std::exception_ptr first_error;
-  for (std::exception_ptr& e : batch_errors_) {
-    if (e) {
-      first_error = e;
-      break;
-    }
-  }
-  batch_errors_.clear();
-  lock.unlock();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
-                  std::size_t threads) {
-  ThreadPool pool(threads);
-  pool.run_batch(count, fn);
 }
 
 }  // namespace wire::util

@@ -1,86 +1,21 @@
-// Fixed-size worker pool used to fan experiment sweeps out across cores.
+// parallel_for: fans experiment sweeps out across cores.
 //
-// Each submitted job is independent (its own simulator instance seeded from
-// derive_seed), so the pool needs no work stealing or task graphs — a mutex-
-// protected queue is more than fast enough for jobs that each run an entire
-// workflow simulation.
+// Each index is independent (its own simulator instance seeded from
+// derive_seed), so one atomic counter handing out indices is all the
+// scheduling the sweeps need.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace wire::util {
 
-/// Simple fixed-size thread pool. Destruction drains the queue (all submitted
-/// jobs complete before the destructor returns).
-class ThreadPool {
- public:
-  /// Spawns `threads` workers; `threads == 0` uses hardware_concurrency().
-  explicit ThreadPool(std::size_t threads = 0);
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  ~ThreadPool();
-
-  /// Enqueues a job and returns a future for its result.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> result = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      jobs_.push([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return result;
-  }
-
-  std::size_t thread_count() const { return workers_.size(); }
-
-  /// Runs `fn(i)` for i in [0, count) across the pool's workers and blocks
-  /// until all complete; the calling thread participates, so a pool is never
-  /// idle-blocked on its own batch and `count == 1` runs inline. Indices are
-  /// claimed atomically in increasing order (which index lands on which
-  /// thread is nondeterministic — callers must make fn(i) write only to
-  /// slot i). Exceptions are collected per index; after the batch, the
-  /// lowest-index exception rethrows. Not reentrant: fn must not call
-  /// run_batch on the same pool.
-  void run_batch(std::size_t count, const std::function<void(std::size_t)>& fn);
-
- private:
-  void worker_loop();
-  /// Claims and runs batch indices until the batch is exhausted. Expects
-  /// `lock` held on entry; returns with it held.
-  void drain_batch(std::unique_lock<std::mutex>& lock);
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> jobs_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::condition_variable batch_cv_;
-  bool stopping_ = false;
-
-  // State of the in-flight run_batch call (guarded by mutex_). batch_fn_ is
-  // non-null exactly while a batch is active.
-  const std::function<void(std::size_t)>* batch_fn_ = nullptr;
-  std::size_t batch_count_ = 0;
-  std::size_t batch_next_ = 0;
-  std::size_t batch_done_ = 0;
-  std::vector<std::exception_ptr> batch_errors_;
-};
-
-/// Runs `fn(i)` for i in [0, count) across a pool and blocks until all
-/// complete. Exceptions from jobs propagate (the first one encountered
-/// rethrows after all jobs finish).
+/// Runs `fn(i)` for i in [0, count) on up to `threads` threads, the calling
+/// thread included (`threads == 0` uses hardware_concurrency()), and blocks
+/// until all complete. Indices are claimed atomically in increasing order;
+/// which index lands on which thread is nondeterministic, so fn(i) must
+/// write only to slot i. Every index runs even when some throw; afterwards
+/// the lowest-index exception rethrows.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
                   std::size_t threads = 0);
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -473,6 +474,24 @@ TEST(EnsembleDriver, RejectsMalformedSetups) {
   EXPECT_THROW(EnsembleDriver(small_profiles(), burst_stream(2, 60.0), factory,
                               site, zero_cap),
                util::ContractViolation);
+  // A NaN budget would land in every JobOutcome, a NaN horizon disables the
+  // stuck-site guard, and only the reference loop (0) and the windowed
+  // engine (1) exist.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EnsembleOptions nan_budget;
+  nan_budget.budget_units = nan;
+  EnsembleOptions negative_budget;
+  negative_budget.budget_units = -1.0;
+  EnsembleOptions nan_horizon;
+  nan_horizon.max_sim_seconds = nan;
+  EnsembleOptions two_shards;
+  two_shards.shards = 2;
+  for (const EnsembleOptions& bad :
+       {nan_budget, negative_budget, nan_horizon, two_shards}) {
+    EXPECT_THROW(EnsembleDriver(small_profiles(), burst_stream(2, 60.0),
+                                factory, site, bad),
+                 util::ContractViolation);
+  }
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "dag/analysis.h"
 #include "policies/baselines.h"
 #include "sim/driver.h"
+#include "sim/engine.h"
 #include "util/check.h"
 #include "workload/generators.h"
 #include "workload/profiles.h"
@@ -224,6 +227,23 @@ TEST(Driver, StuckPolicyTripsMaxSimSeconds) {
   options.max_sim_seconds = 3600.0;
   EXPECT_THROW(simulate(wf, policy, exact_cloud(900.0), options),
                std::runtime_error);
+}
+
+TEST(Driver, MalformedMaxSimSecondsIsRejected) {
+  // A NaN guard compares false against every event time, so a stuck policy
+  // would run forever; the engine refuses it (and infinite or non-positive
+  // guards) at construction.
+  const dag::Workflow wf = workload::linear_workflow(1, 4, 100.0);
+  StallPolicy policy;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0,
+                           -1.0}) {
+    SCOPED_TRACE("max_sim_seconds=" + std::to_string(bad));
+    RunOptions options;
+    options.max_sim_seconds = bad;
+    EXPECT_THROW(JobEngine(wf, policy, exact_cloud(900.0), options),
+                 util::ContractViolation);
+  }
 }
 
 TEST(Driver, PoolTimelineSamplesEveryControlTick) {

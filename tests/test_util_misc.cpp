@@ -1,5 +1,5 @@
-// Tests for the remaining utility surface: text tables, CSV escaping, the
-// thread pool, parallel_for error propagation, contracts, and logging.
+// Tests for the remaining utility surface: text tables, CSV escaping,
+// parallel_for error propagation, contracts, and logging.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -74,34 +74,6 @@ TEST(CsvWriter, EscapesSpecialCharacters) {
 
 TEST(CsvWriter, UnwritablePathThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir/foo.csv"), std::runtime_error);
-}
-
-TEST(ThreadPool, ExecutesAllJobs) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter, i] {
-      counter.fetch_add(1);
-      return i * 2;
-    }));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * 2);
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor joins after all jobs ran
-  EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

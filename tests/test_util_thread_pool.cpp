@@ -1,158 +1,66 @@
-// Tests for ThreadPool::run_batch (the sharded ensemble driver's engine):
-// index coverage, small-batch/inline paths, exception ordering, the
-// reentrancy guard, shutdown behaviour, and parallel_for built on top.
+// Tests for util::parallel_for (the experiment sweeps' fan-out): index
+// coverage, fewer jobs than threads, a zero count, and exception ordering.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace wire::util {
 namespace {
 
-TEST(RunBatch, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
+TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(257);
-  pool.run_batch(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for(
+      hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); }, 4);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(RunBatch, CountSmallerThanWorkers) {
-  // More workers than indices: the extra workers must go back to sleep and
-  // the batch must still cover each index exactly once.
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.run_batch(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(RunBatch, SingleIndexRunsInlineOnCaller) {
-  ThreadPool pool(4);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  pool.run_batch(1, [&ran_on](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    ran_on = std::this_thread::get_id();
-  });
-  EXPECT_EQ(ran_on, caller);
-}
-
-TEST(RunBatch, ZeroCountIsANoOp) {
-  ThreadPool pool(2);
-  pool.run_batch(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(RunBatch, LowestIndexExceptionWins) {
-  // Two indices throw; the contract says the LOWEST index's exception is the
-  // one that propagates, independent of which thread ran it first.
-  ThreadPool pool(4);
-  for (int round = 0; round < 20; ++round) {
-    try {
-      pool.run_batch(16, [](std::size_t i) {
-        if (i == 3) throw std::runtime_error("low");
-        if (i == 11) throw std::runtime_error("high");
-      });
-      FAIL() << "batch must rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_EQ(std::string(e.what()), "low");
-    }
-  }
-}
-
-TEST(RunBatch, AllIndicesRunDespiteException) {
-  // One index throwing must not short-circuit the rest of the batch.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(32);
-  EXPECT_THROW(pool.run_batch(hits.size(),
-                              [&hits](std::size_t i) {
-                                hits[i].fetch_add(1);
-                                if (i == 5) throw std::runtime_error("boom");
-                              }),
-               std::runtime_error);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(RunBatch, PoolUsableAfterAFailedBatch) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.run_batch(8, [](std::size_t) { throw std::runtime_error("boom"); }),
-      std::runtime_error);
-  std::atomic<int> counter{0};
-  pool.run_batch(8, [&counter](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 8);
-  // submit() still works too (the batch machinery resets cleanly).
-  EXPECT_EQ(pool.submit([] { return 42; }).get(), 42);
-}
-
-TEST(RunBatch, ReentrantCallIsRejected) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.run_batch(4,
-                              [&pool](std::size_t) {
-                                pool.run_batch(2, [](std::size_t) {});
-                              }),
-               ContractViolation);
-}
-
-TEST(RunBatch, InterleavesWithSubmittedJobs) {
-  // A batch must make progress even when every worker is pinned behind long
-  // submitted jobs: the calling thread participates.
-  ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  std::vector<std::future<void>> blockers;
-  for (std::size_t i = 0; i < pool.thread_count(); ++i) {
-    blockers.push_back(pool.submit([&release] {
-      while (!release.load()) std::this_thread::yield();
-    }));
-  }
-  std::vector<std::atomic<int>> hits(16);
-  pool.run_batch(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  release.store(true);
-  for (auto& b : blockers) b.get();
-}
-
-TEST(ThreadPool, ShutdownDrainsPendingJobs) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor joins only after the queue is empty
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, SubmittedExceptionSurfacesThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("job"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ParallelFor, CountSmallerThanWorkers) {
+TEST(ParallelFor, CountSmallerThanThreads) {
   std::vector<std::atomic<int>> hits(3);
   parallel_for(
       hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); }, 8);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ParallelFor, ZeroCountIsANoOp) {
+  parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; }, 2);
+}
+
 TEST(ParallelFor, LowestIndexExceptionWins) {
-  try {
-    parallel_for(
-        32,
-        [](std::size_t i) {
-          if (i == 2) throw std::runtime_error("low");
-          if (i == 30) throw std::runtime_error("high");
-        },
-        4);
-    FAIL() << "must rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "low");
+  // Two indices throw; the LOWEST index's exception is the one that
+  // propagates, independent of which thread ran it first.
+  for (int round = 0; round < 20; ++round) {
+    try {
+      parallel_for(
+          32,
+          [](std::size_t i) {
+            if (i == 2) throw std::runtime_error("low");
+            if (i == 30) throw std::runtime_error("high");
+          },
+          4);
+      FAIL() << "must rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "low");
+    }
   }
+}
+
+TEST(ParallelFor, AllIndicesRunDespiteException) {
+  // One index throwing must not short-circuit the rest.
+  std::vector<std::atomic<int>> hits(32);
+  EXPECT_THROW(parallel_for(
+                   hits.size(),
+                   [&hits](std::size_t i) {
+                     hits[i].fetch_add(1);
+                     if (i == 5) throw std::runtime_error("boom");
+                   },
+                   4),
+               std::runtime_error);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace
