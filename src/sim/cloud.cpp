@@ -46,11 +46,6 @@ Instance& CloudPool::mutable_instance(InstanceId id) {
   return instances_[id];
 }
 
-const Instance& CloudPool::instance(InstanceId id) const {
-  WIRE_REQUIRE(id < instances_.size(), "unknown instance id");
-  return instances_[id];
-}
-
 void CloudPool::mark_ready(InstanceId id, SimTime now) {
   Instance& inst = mutable_instance(id);
   if (inst.state == InstanceState::Terminated) return;  // cancelled mid-boot
@@ -104,31 +99,16 @@ bool CloudPool::revocation_announced(InstanceId id, SimTime now) const {
          inst.crash_notice_at >= 0.0 && now >= inst.crash_notice_at;
 }
 
-bool CloudPool::is_usable(InstanceId id, SimTime now) const {
-  const Instance& inst = instance(id);
-  return inst.state == InstanceState::Ready && inst.drain_at < 0.0 &&
-         now >= inst.ready_at;
-}
-
-std::vector<InstanceId> CloudPool::dispatchable(SimTime now) const {
-  std::vector<InstanceId> out;
-  for (InstanceId id : live_ids_) {
-    if (is_usable(id, now)) out.push_back(id);
-  }
-  return out;
-}
-
 SimTime CloudPool::time_to_next_charge(InstanceId id, SimTime now) const {
   const Instance& inst = instance(id);
   WIRE_REQUIRE(inst.state == InstanceState::Ready, "instance not ready");
   WIRE_REQUIRE(now >= inst.ready_at - 1e-9, "query before charge start");
   const double u = config_.charging_unit_seconds;
   const double elapsed = std::max(0.0, now - inst.ready_at);
-  const double into_unit = std::fmod(elapsed, u);
-  // Exactly on a boundary means a fresh unit just started (the previous one
-  // was fully consumed): a full unit remains.
-  if (into_unit < kBillingEps) return u - into_unit;
-  return u - into_unit;
+  // Exactly on a boundary a fresh unit has just started, so a full unit
+  // remains; any time past it, even a sliver below the billing epsilon, is
+  // taken off that unit.
+  return u - std::fmod(elapsed, u);
 }
 
 double CloudPool::charged_units(InstanceId id, SimTime end) const {

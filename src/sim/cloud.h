@@ -13,6 +13,7 @@
 
 #include "sim/config.h"
 #include "sim/monitor.h"
+#include "util/check.h"
 
 namespace wire::sim {
 
@@ -82,16 +83,22 @@ class CloudPool {
   /// report it so policies stop counting the instance as stable capacity).
   bool revocation_announced(InstanceId id, SimTime now) const;
 
-  const Instance& instance(InstanceId id) const;
-  bool is_usable(InstanceId id, SimTime now) const;
+  const Instance& instance(InstanceId id) const {
+    WIRE_REQUIRE(id < instances_.size(), "unknown instance id");
+    return instances_[id];
+  }
+  /// A dispatch target: Ready, not draining, past its boot. Depends only on
+  /// the instance and `now`.
+  bool is_usable(InstanceId id, SimTime now) const {
+    const Instance& inst = instance(id);
+    return inst.state == InstanceState::Ready && inst.drain_at < 0.0 &&
+           now >= inst.ready_at;
+  }
 
-  /// Ready, non-draining, non-terminated instances (dispatch targets), in id
-  /// order.
-  std::vector<InstanceId> dispatchable(SimTime now) const;
-
-  /// All instances that are Provisioning or Ready (not terminated), in id
-  /// order. Returns a copy: callers may terminate while iterating.
-  std::vector<InstanceId> live() const { return live_ids_; }
+  /// All instances that are Provisioning or Ready (not terminated), in
+  /// ascending id order. terminate() and new requests invalidate iterators:
+  /// do not change the pool while iterating it.
+  const std::vector<InstanceId>& live() const { return live_ids_; }
 
   /// Count of live instances (Provisioning + Ready) — what site capacity
   /// constrains.
@@ -127,7 +134,7 @@ class CloudPool {
   std::vector<Instance> instances_;
   /// Ids of non-terminated instances, kept sorted (ids are assigned in
   /// increasing order; terminate() erases in place). Makes live()/live_count()
-  /// and dispatchable() O(live pool) instead of O(instances ever created) —
+  /// and dispatch scans O(live pool) instead of O(instances ever created) —
   /// the difference matters once long ensemble runs accumulate thousands of
   /// retired instances per tenant.
   std::vector<InstanceId> live_ids_;

@@ -133,16 +133,20 @@ void JobEngine::step() {
 }
 
 void JobEngine::dispatch_all(SimTime now) {
+  // Binding a task never changes the pool, so `live` stays valid throughout.
+  const std::vector<InstanceId>& live = cloud_.live();
   if (!config_.memory.enabled()) {
+    // Each task goes to the lowest-id usable instance with a free slot. One
+    // forward pass finds them all: usability depends only on `now`, and a
+    // binding only consumes slots, so that instance never moves back.
+    std::size_t next = 0;
     while (framework_.has_ready()) {
-      InstanceId target = kInvalidInstance;
-      for (InstanceId id : cloud_.dispatchable(now)) {
-        if (framework_.free_slots(id) > 0) {
-          target = id;
-          break;
-        }
+      while (next < live.size() && (framework_.free_slots(live[next]) == 0 ||
+                                    !cloud_.is_usable(live[next], now))) {
+        ++next;
       }
-      if (target == kInvalidInstance) return;
+      if (next == live.size()) return;
+      const InstanceId target = live[next];
       const TaskId task = framework_.pop_ready();
       const std::uint32_t slot = framework_.take_free_slot(target);
       framework_.on_dispatch(task, target, slot, now);
@@ -154,14 +158,19 @@ void JobEngine::dispatch_all(SimTime now) {
   // Memory-aware admission: the head ready task needs a free slot AND enough
   // free memory for its sized reservation. FIFO order is preserved strictly —
   // a head task that fits nowhere blocks the queue (no backfilling), which is
-  // exactly the projection the lookahead replays.
+  // exactly the projection the lookahead replays. Each head task scans the
+  // usable instances first-fit; the list of them is built once per call.
+  usable_.clear();
+  for (InstanceId id : live) {
+    if (cloud_.is_usable(id, now)) usable_.push_back(id);
+  }
   while (framework_.has_ready()) {
     const TaskId task = *framework_.peek_ready();
     const dag::TaskSpec& spec = workflow_.task(task);
     const double reservation = sizer_.reservation_mb(
         spec.stage, spec.ref_peak_mem_mb, framework_.runtime(task).oom_attempts);
     InstanceId target = kInvalidInstance;
-    for (InstanceId id : cloud_.dispatchable(now)) {
+    for (InstanceId id : usable_) {
       if (framework_.free_slots(id) > 0 &&
           framework_.mem_used(id) + reservation <=
               config_.memory.instance_mem_mb + 1e-9) {
@@ -297,9 +306,9 @@ void JobEngine::finish_transfer_out(TaskId task, SimTime now) {
 void JobEngine::handle_transfer_guard(const Event& e) {
   if (!fabric_.guard_current(e)) return;
   // Transfers of resubmitted attempts are dropped silently.
-  const std::vector<SharedChannel::Flow> finished = fabric_.settle(
-      e.time, queue_, alive_flow(), [](const SharedChannel::Flow&) {});
-  for (const SharedChannel::Flow& t : finished) {
+  fabric_.settle(e.time, queue_, alive_flow(),
+                 [](const SharedChannel::Flow&) {}, settled_);
+  for (const SharedChannel::Flow& t : settled_) {
     if (t.inbound) {
       finish_transfer_in(t.task, e.time);
     } else {
@@ -376,10 +385,11 @@ void JobEngine::handle_task_checkpoint(const Event& e) {
 void JobEngine::handle_checkpoint_guard(const Event& e) {
   if (!ckpt_channel_.guard_current(e)) return;
   // A write whose attempt died since the last purge point is garbage.
-  const std::vector<SharedChannel::Flow> committed = ckpt_channel_.settle(
+  ckpt_channel_.settle(
       e.time, queue_, alive_flow(),
-      [&](const SharedChannel::Flow& w) { ckpt_write_lost(w, e.time); });
-  for (const SharedChannel::Flow& w : committed) {
+      [&](const SharedChannel::Flow& w) { ckpt_write_lost(w, e.time); },
+      settled_);
+  for (const SharedChannel::Flow& w : settled_) {
     ++ckpt_completed_;
     ckpt_io_slot_seconds_ += e.time - w.started;
     // Everything executed before the write started is now durable; a later
@@ -597,7 +607,7 @@ MonitorSnapshot JobEngine::rebuild_snapshot(SimTime now) const {
   snap.now = now;
   snap.pool_cap = effective_cap();
   framework_.fill_observations(now, snap.tasks);
-  snap.ready_queue = framework_.ready_queue_snapshot();
+  framework_.ready_queue_snapshot(snap.ready_queue);
   snap.incomplete_tasks = static_cast<std::uint32_t>(
       workflow_.task_count() - framework_.completed_count());
   for (InstanceId id : cloud_.live()) {
@@ -770,8 +780,8 @@ RunResult JobEngine::result() {
   purge_stale_ckpt_writes(end_time_);
 
   // Release whatever is still allocated; paid units up to now are kept.
-  for (InstanceId id : cloud_.live()) {
-    cloud_.terminate(id, end_time_);
+  while (cloud_.live_count() > 0) {
+    cloud_.terminate(cloud_.live().back(), end_time_);
   }
 
   RunResult result;

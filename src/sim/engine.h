@@ -288,6 +288,11 @@ class JobEngine {
   TaskMemorySizer sizer_;
   EventQueue queue_;
   SharedChannel fabric_;
+  /// Flows a guard event finished, refilled by each settle(). Shared by both
+  /// channels' guard handlers, which never run inside one another.
+  std::vector<SharedChannel::Flow> settled_;
+  /// Usable instances for one memory-aware dispatch_all() call.
+  std::vector<InstanceId> usable_;
   /// Per-task segmented-execution state of the *current* attempt (valid only
   /// while `attempt` matches TaskRuntime::attempts). exec_total is the
   /// attempt's post-salvage execution demand; exec_done the seconds already

@@ -28,16 +28,6 @@ FrameworkMaster::FrameworkMaster(const dag::Workflow& workflow,
   }
 }
 
-TaskRuntime& FrameworkMaster::mutable_runtime(TaskId task) {
-  WIRE_REQUIRE(task < runtimes_.size(), "unknown task id");
-  return runtimes_[task];
-}
-
-const TaskRuntime& FrameworkMaster::runtime(TaskId task) const {
-  WIRE_REQUIRE(task < runtimes_.size(), "unknown task id");
-  return runtimes_[task];
-}
-
 void FrameworkMaster::enqueue_ready(TaskId task, SimTime now) {
   TaskRuntime& rt = mutable_runtime(task);
   WIRE_CHECK(rt.phase == TaskPhase::Pending || rt.phase == TaskPhase::Running,
@@ -53,49 +43,65 @@ void FrameworkMaster::enqueue_ready(TaskId task, SimTime now) {
   rt.occupancy_start = -1.0;
   rt.exec_start = -1.0;
   rt.instance = kInvalidInstance;
-  ready_queue_.emplace(rt.high_priority ? 0 : 1, now, task);
+  ReadyClass& cls = ready_[rt.high_priority ? 0 : 1];
+  const std::pair<SimTime, TaskId> key{now, task};
+  std::size_t pos = cls.entries.size();
+  while (pos > cls.head && key < cls.entries[pos - 1]) --pos;
+  cls.entries.insert(cls.entries.begin() + static_cast<std::ptrdiff_t>(pos),
+                     key);
   if (store_ != nullptr) store_->on_task_ready(task, now, rt.attempts);
 }
 
 std::optional<TaskId> FrameworkMaster::peek_ready() const {
-  if (ready_queue_.empty()) return std::nullopt;
-  return std::get<2>(*ready_queue_.begin());
+  for (const ReadyClass& cls : ready_) {
+    if (!cls.empty()) return cls.entries[cls.head].second;
+  }
+  return std::nullopt;
 }
 
 TaskId FrameworkMaster::pop_ready() {
-  WIRE_REQUIRE(!ready_queue_.empty(), "pop_ready on empty queue");
-  const TaskId task = std::get<2>(*ready_queue_.begin());
-  ready_queue_.erase(ready_queue_.begin());
+  WIRE_REQUIRE(has_ready(), "pop_ready on empty queue");
+  ReadyClass& cls = ready_[ready_[0].empty() ? 1 : 0];
+  const TaskId task = cls.entries[cls.head++].second;
+  if (cls.empty()) {
+    cls.entries.clear();
+    cls.head = 0;
+  } else if (cls.head >= 64 && 2 * cls.head >= cls.entries.size()) {
+    // Drop the popped prefix once it is at least half the vector, so the
+    // copy is paid for by the pops that made it.
+    cls.entries.erase(
+        cls.entries.begin(),
+        cls.entries.begin() + static_cast<std::ptrdiff_t>(cls.head));
+    cls.head = 0;
+  }
   return task;
 }
 
-std::vector<TaskId> FrameworkMaster::ready_queue_snapshot() const {
-  std::vector<TaskId> out;
-  out.reserve(ready_queue_.size());
-  for (const auto& entry : ready_queue_) out.push_back(std::get<2>(entry));
-  return out;
+void FrameworkMaster::ready_queue_snapshot(std::vector<TaskId>& out) const {
+  out.clear();
+  for (const ReadyClass& cls : ready_) {
+    for (std::size_t i = cls.head; i < cls.entries.size(); ++i) {
+      out.push_back(cls.entries[i].second);
+    }
+  }
 }
 
 void FrameworkMaster::register_instance(InstanceId instance,
                                         std::uint32_t slots) {
-  auto [it, inserted] = slots_.try_emplace(instance);
-  if (inserted) {
-    it->second.assign(slots, dag::kInvalidTask);
+  WIRE_REQUIRE(slots > 0, "an instance needs at least one slot");
+  if (instance >= instances_.size()) instances_.resize(instance + 1);
+  InstanceSlots& row = instances_[instance];
+  if (row.slots.empty()) {
+    row.slots.assign(slots, dag::kInvalidTask);
+    row.free = slots;
   }
 }
 
-std::uint32_t FrameworkMaster::free_slots(InstanceId instance) const {
-  const auto it = slots_.find(instance);
-  if (it == slots_.end()) return 0;
-  return static_cast<std::uint32_t>(
-      std::count(it->second.begin(), it->second.end(), dag::kInvalidTask));
-}
-
 std::uint32_t FrameworkMaster::take_free_slot(InstanceId instance) const {
-  const auto it = slots_.find(instance);
-  WIRE_REQUIRE(it != slots_.end(), "instance not registered");
-  for (std::uint32_t s = 0; s < it->second.size(); ++s) {
-    if (it->second[s] == dag::kInvalidTask) return s;
+  WIRE_REQUIRE(registered(instance), "instance not registered");
+  const std::vector<TaskId>& slots = instances_[instance].slots;
+  for (std::uint32_t s = 0; s < slots.size(); ++s) {
+    if (slots[s] == dag::kInvalidTask) return s;
   }
   WIRE_REQUIRE(false, "no free slot on instance");
   return 0;
@@ -103,12 +109,24 @@ std::uint32_t FrameworkMaster::take_free_slot(InstanceId instance) const {
 
 std::vector<TaskId> FrameworkMaster::tasks_on(InstanceId instance) const {
   std::vector<TaskId> out;
-  const auto it = slots_.find(instance);
-  if (it == slots_.end()) return out;
-  for (TaskId t : it->second) {
+  append_tasks_on(instance, out);
+  return out;
+}
+
+void FrameworkMaster::append_tasks_on(InstanceId instance,
+                                      std::vector<TaskId>& out) const {
+  if (instance >= instances_.size()) return;
+  for (TaskId t : instances_[instance].slots) {
     if (t != dag::kInvalidTask) out.push_back(t);
   }
-  return out;
+}
+
+void FrameworkMaster::free_slot_of(const TaskRuntime& rt, TaskId task) {
+  WIRE_CHECK(registered(rt.instance), "task on unknown instance");
+  InstanceSlots& row = instances_[rt.instance];
+  WIRE_CHECK(row.slots[rt.slot] == task, "task not in its slot");
+  row.slots[rt.slot] = dag::kInvalidTask;
+  ++row.free;
 }
 
 void FrameworkMaster::on_dispatch(TaskId task, InstanceId instance,
@@ -116,12 +134,13 @@ void FrameworkMaster::on_dispatch(TaskId task, InstanceId instance,
                                   double mem_reservation_mb) {
   TaskRuntime& rt = mutable_runtime(task);
   WIRE_REQUIRE(rt.phase == TaskPhase::Ready, "dispatch of non-ready task");
-  auto it = slots_.find(instance);
-  WIRE_REQUIRE(it != slots_.end(), "dispatch to unregistered instance");
-  WIRE_REQUIRE(slot < it->second.size(), "slot index out of range");
-  WIRE_REQUIRE(it->second[slot] == dag::kInvalidTask, "slot already occupied");
+  WIRE_REQUIRE(registered(instance), "dispatch to unregistered instance");
+  InstanceSlots& row = instances_[instance];
+  WIRE_REQUIRE(slot < row.slots.size(), "slot index out of range");
+  WIRE_REQUIRE(row.slots[slot] == dag::kInvalidTask, "slot already occupied");
 
-  it->second[slot] = task;
+  row.slots[slot] = task;
+  --row.free;
   rt.phase = TaskPhase::Running;
   rt.occupancy_start = now;
   rt.exec_start = -1.0;
@@ -131,7 +150,7 @@ void FrameworkMaster::on_dispatch(TaskId task, InstanceId instance,
   ++rt.attempts;
   rt.mem_reservation_mb = mem_reservation_mb;
   if (mem_reservation_mb >= 0.0) {
-    mem_used_[instance] += mem_reservation_mb;
+    row.mem_used += mem_reservation_mb;
   }
   if (store_ != nullptr) {
     store_->on_task_dispatched(task, instance, now, rt.attempts,
@@ -143,15 +162,10 @@ void FrameworkMaster::release_memory(TaskRuntime& rt, SimTime now) {
   if (rt.mem_reservation_mb < 0.0) return;
   mem_reserved_mb_seconds_ +=
       rt.mem_reservation_mb * (now - rt.occupancy_start);
-  auto it = mem_used_.find(rt.instance);
-  WIRE_CHECK(it != mem_used_.end(), "reservation on unknown instance");
-  it->second -= rt.mem_reservation_mb;
-  if (it->second < 1e-9) it->second = 0.0;  // absorb FP residue
-}
-
-double FrameworkMaster::mem_used(InstanceId instance) const {
-  const auto it = mem_used_.find(instance);
-  return it == mem_used_.end() ? 0.0 : it->second;
+  WIRE_CHECK(registered(rt.instance), "reservation on unknown instance");
+  double& used = instances_[rt.instance].mem_used;
+  used -= rt.mem_reservation_mb;
+  if (used < 1e-9) used = 0.0;  // absorb FP residue
 }
 
 void FrameworkMaster::set_true_peak_mem(TaskId task, double peak_mb) {
@@ -197,7 +211,7 @@ void FrameworkMaster::on_exec_done(TaskId task, SimTime now,
   rt.ckpt_pure_exec = pure_exec_seconds;
 }
 
-std::vector<TaskId> FrameworkMaster::on_complete(TaskId task, SimTime now) {
+std::uint32_t FrameworkMaster::on_complete(TaskId task, SimTime now) {
   TaskRuntime& rt = mutable_runtime(task);
   WIRE_REQUIRE(rt.phase == TaskPhase::Running, "complete on non-running task");
   WIRE_CHECK(rt.exec_time >= 0.0, "complete before exec_done");
@@ -217,9 +231,7 @@ std::vector<TaskId> FrameworkMaster::on_complete(TaskId task, SimTime now) {
     mem_used_mb_seconds_ += rt.true_peak_mem_mb * (now - rt.occupancy_start);
   }
 
-  auto it = slots_.find(rt.instance);
-  WIRE_CHECK(it != slots_.end(), "completed task on unknown instance");
-  it->second[rt.slot] = dag::kInvalidTask;
+  free_slot_of(rt, task);
   // rt.instance is kept: the kickstart record names the hosting instance.
   if (store_ != nullptr) {
     store_->on_task_completed(task, rt.exec_time,
@@ -228,13 +240,13 @@ std::vector<TaskId> FrameworkMaster::on_complete(TaskId task, SimTime now) {
                               rt.true_peak_mem_mb);
   }
 
-  std::vector<TaskId> newly_ready;
+  std::uint32_t newly_ready = 0;
   for (TaskId succ : workflow_->successors(task)) {
     TaskRuntime& srt = mutable_runtime(succ);
     WIRE_CHECK(srt.remaining_preds > 0, "predecessor count underflow");
     if (--srt.remaining_preds == 0) {
       enqueue_ready(succ, now);
-      newly_ready.push_back(succ);
+      ++newly_ready;
     }
   }
   return newly_ready;
@@ -276,9 +288,10 @@ void FrameworkMaster::salvage_on_kill(TaskRuntime& rt, SimTime now,
 std::vector<TaskId> FrameworkMaster::resubmit_tasks_on(InstanceId instance,
                                                        SimTime now) {
   std::vector<TaskId> killed = tasks_on(instance);
-  auto it = slots_.find(instance);
-  if (it != slots_.end()) {
-    std::fill(it->second.begin(), it->second.end(), dag::kInvalidTask);
+  if (instance < instances_.size()) {
+    InstanceSlots& row = instances_[instance];
+    std::fill(row.slots.begin(), row.slots.end(), dag::kInvalidTask);
+    row.free = static_cast<std::uint32_t>(row.slots.size());
   }
   for (TaskId task : killed) {
     TaskRuntime& rt = mutable_runtime(task);
@@ -296,10 +309,7 @@ std::vector<TaskId> FrameworkMaster::resubmit_tasks_on(InstanceId instance,
 std::uint32_t FrameworkMaster::on_task_failed(TaskId task, SimTime now) {
   TaskRuntime& rt = mutable_runtime(task);
   WIRE_REQUIRE(rt.phase == TaskPhase::Running, "fault on non-running task");
-  auto it = slots_.find(rt.instance);
-  WIRE_CHECK(it != slots_.end(), "faulted task on unknown instance");
-  WIRE_CHECK(it->second[rt.slot] == task, "faulted task not in its slot");
-  it->second[rt.slot] = dag::kInvalidTask;
+  free_slot_of(rt, task);
 
   const double elapsed = now - rt.occupancy_start;
   wasted_slot_seconds_ += elapsed;
@@ -327,10 +337,7 @@ std::uint32_t FrameworkMaster::on_task_failed(TaskId task, SimTime now) {
 std::uint32_t FrameworkMaster::on_task_oom(TaskId task, SimTime now) {
   TaskRuntime& rt = mutable_runtime(task);
   WIRE_REQUIRE(rt.phase == TaskPhase::Running, "OOM on non-running task");
-  auto it = slots_.find(rt.instance);
-  WIRE_CHECK(it != slots_.end(), "OOM task on unknown instance");
-  WIRE_CHECK(it->second[rt.slot] == task, "OOM task not in its slot");
-  it->second[rt.slot] = dag::kInvalidTask;
+  free_slot_of(rt, task);
 
   const double elapsed = now - rt.occupancy_start;
   wasted_slot_seconds_ += elapsed;

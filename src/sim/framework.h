@@ -8,16 +8,16 @@
 // observations per stage (§III-C).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <set>
-#include <tuple>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dag/workflow.h"
 #include "sim/config.h"
 #include "sim/monitor.h"
+#include "util/check.h"
 
 namespace wire::sim {
 
@@ -94,14 +94,15 @@ class FrameworkMaster {
                            bool scheduled_checkpoints = false);
 
   // --- Ready queue ---
-  bool has_ready() const { return !ready_queue_.empty(); }
-  std::size_t ready_count() const { return ready_queue_.size(); }
+  bool has_ready() const { return !ready_[0].empty() || !ready_[1].empty(); }
+  std::size_t ready_count() const { return ready_[0].size() + ready_[1].size(); }
   /// Next task in dispatch order without removing it.
   std::optional<dag::TaskId> peek_ready() const;
   /// Removes and returns the next task in dispatch order.
   dag::TaskId pop_ready();
-  /// Ready-queue contents in dispatch order (for monitoring).
-  std::vector<dag::TaskId> ready_queue_snapshot() const;
+  /// Overwrites `out` with the ready-queue contents in dispatch order (for
+  /// monitoring; reuses `out`'s capacity).
+  void ready_queue_snapshot(std::vector<dag::TaskId>& out) const;
 
   // --- Lifecycle transitions (driven by the simulator) ---
   /// Binds a ready task to (instance, slot); begins occupancy at `now`.
@@ -116,9 +117,9 @@ class FrameworkMaster {
   /// excluded (scheduled checkpointing); < 0 = wall time since exec_start.
   void on_exec_done(dag::TaskId task, SimTime now,
                     double pure_exec_seconds = -1.0);
-  /// Output transfer finished; task completes, slot frees. Returns the
-  /// successors that became ready (already enqueued).
-  std::vector<dag::TaskId> on_complete(dag::TaskId task, SimTime now);
+  /// Output transfer finished; task completes, slot frees. Returns how many
+  /// successors became ready (they are already enqueued).
+  std::uint32_t on_complete(dag::TaskId task, SimTime now);
   /// Kills and re-enqueues every task currently occupying a slot on
   /// `instance` (the instance is being released). Returns the killed tasks.
   std::vector<dag::TaskId> resubmit_tasks_on(InstanceId instance, SimTime now);
@@ -153,7 +154,9 @@ class FrameworkMaster {
   /// paths charge true lost work instead of wall time.
   void stage_kill_progress(dag::TaskId task, double progress_exec_seconds);
   /// Memory currently booked on `instance`, MB (0 if none/unknown).
-  double mem_used(InstanceId instance) const;
+  double mem_used(InstanceId instance) const {
+    return instance < instances_.size() ? instances_[instance].mem_used : 0.0;
+  }
 
   /// Quarantines a poison task together with every (transitively) dependent
   /// descendant — all necessarily Pending, since an incomplete ancestor
@@ -162,12 +165,19 @@ class FrameworkMaster {
   std::vector<dag::TaskId> quarantine(dag::TaskId task);
 
   // --- Slot bookkeeping ---
-  /// Registers an instance with `slots` task slots (idempotent).
+  /// Registers an instance with `slots` > 0 task slots (idempotent).
   void register_instance(InstanceId instance, std::uint32_t slots);
-  std::uint32_t free_slots(InstanceId instance) const;
-  /// Index of a free slot on `instance`; requires free_slots > 0.
+  /// Empty slots on `instance`; 0 if it was never registered. O(1).
+  std::uint32_t free_slots(InstanceId instance) const {
+    return instance < instances_.size() ? instances_[instance].free : 0;
+  }
+  /// Lowest-index free slot on `instance`; requires free_slots > 0.
   std::uint32_t take_free_slot(InstanceId instance) const;
+  /// Tasks occupying `instance`'s slots, in slot order.
   std::vector<dag::TaskId> tasks_on(InstanceId instance) const;
+  /// Same, appended to `out` (reuses its capacity on the monitoring path).
+  void append_tasks_on(InstanceId instance,
+                       std::vector<dag::TaskId>& out) const;
 
   // --- Progress / accounting ---
   /// True when every task is resolved: completed, or quarantined as poison.
@@ -197,7 +207,10 @@ class FrameworkMaster {
   /// book).
   double mem_used_mb_seconds() const { return mem_used_mb_seconds_; }
 
-  const TaskRuntime& runtime(dag::TaskId task) const;
+  const TaskRuntime& runtime(dag::TaskId task) const {
+    WIRE_REQUIRE(task < runtimes_.size(), "unknown task id");
+    return runtimes_[task];
+  }
   const dag::Workflow& workflow() const { return *workflow_; }
 
   /// Fills the per-task portion of a monitoring snapshot from scratch — the
@@ -214,8 +227,36 @@ class FrameworkMaster {
   void set_monitor_store(MonitorStore* store) { store_ = store; }
 
  private:
+  /// One dispatch class of the ready queue: entries[head..] in (ready time,
+  /// id) order. The engine enqueues at its current time, which never goes
+  /// back, so an insert lands at or next to the tail; a pop moves `head`
+  /// instead of shifting the vector.
+  struct ReadyClass {
+    std::vector<std::pair<SimTime, dag::TaskId>> entries;
+    std::size_t head = 0;
+    bool empty() const { return head == entries.size(); }
+    std::size_t size() const { return entries.size() - head; }
+  };
+
+  /// One row of the slot table: the task in each slot (kInvalidTask when
+  /// empty), how many slots are empty, and the memory booked on the
+  /// instance. A row with no slots is an unregistered instance.
+  struct InstanceSlots {
+    std::vector<dag::TaskId> slots;
+    std::uint32_t free = 0;
+    double mem_used = 0.0;
+  };
+
   void enqueue_ready(dag::TaskId task, SimTime now);
-  TaskRuntime& mutable_runtime(dag::TaskId task);
+  TaskRuntime& mutable_runtime(dag::TaskId task) {
+    WIRE_REQUIRE(task < runtimes_.size(), "unknown task id");
+    return runtimes_[task];
+  }
+  bool registered(InstanceId instance) const {
+    return instance < instances_.size() && !instances_[instance].slots.empty();
+  }
+  /// Empties the slot `rt` occupies on its instance.
+  void free_slot_of(const TaskRuntime& rt, dag::TaskId task);
   /// Shared kill-path salvage + lost-work accounting. `allow_legacy_salvage`
   /// mirrors the historical asymmetry: only instance-release kills salvage
   /// under the legacy fraction model (a crashed process died at an unknown
@@ -232,9 +273,11 @@ class FrameworkMaster {
   bool scheduled_checkpoints_;
   std::vector<TaskRuntime> runtimes_;
   // Dispatch order: (priority class, ready time, id). Class 0 = first-five.
-  std::set<std::tuple<int, SimTime, dag::TaskId>> ready_queue_;
+  std::array<ReadyClass, 2> ready_;
   std::vector<std::uint32_t> stage_priority_granted_;
-  std::unordered_map<InstanceId, std::vector<dag::TaskId>> slots_;
+  /// Slot table indexed by InstanceId (ids are dense and increasing per
+  /// engine, so the table grows with the instances ever registered).
+  std::vector<InstanceSlots> instances_;
   MonitorStore* store_ = nullptr;
   std::size_t completed_ = 0;
   std::size_t quarantined_ = 0;
@@ -244,7 +287,6 @@ class FrameworkMaster {
   double wasted_slot_seconds_ = 0.0;
   double lost_work_seconds_ = 0.0;
   std::uint32_t oom_kills_ = 0;
-  std::unordered_map<InstanceId, double> mem_used_;
   double mem_reserved_mb_seconds_ = 0.0;
   double mem_used_mb_seconds_ = 0.0;
 };

@@ -53,13 +53,6 @@ void MonitorStore::flush_step() {
   step_phase_.clear();
 }
 
-void MonitorStore::begin_step() { in_step_ = true; }
-
-void MonitorStore::end_step() {
-  flush_step();
-  in_step_ = false;
-}
-
 void MonitorStore::running_insert(TaskId task) {
   if (running_pos_[task] != 0) return;
   running_.push_back(task);
@@ -216,11 +209,18 @@ void MonitorStore::refresh_fields(SimTime now, std::uint32_t pool_cap,
     obs.elapsed = now - obs.occupancy_start;
     obs.elapsed_exec = exec_start_[t] >= 0.0 ? now - exec_start_[t] : 0.0;
   }
-  snap_.ready_queue = framework.ready_queue_snapshot();
-  snap_.instances.clear();
-  for (InstanceId id : cloud.live()) {
+  framework.ready_queue_snapshot(snap_.ready_queue);
+  // Rows are overwritten in place so each keeps its running_tasks capacity
+  // from tick to tick.
+  const std::vector<InstanceId>& live = cloud.live();
+  snap_.instances.resize(live.size());
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    const InstanceId id = live[k];
     const Instance& inst = cloud.instance(id);
-    InstanceObservation obs;
+    InstanceObservation& obs = snap_.instances[k];
+    std::vector<TaskId> running = std::move(obs.running_tasks);
+    running.clear();
+    obs = InstanceObservation{};
     obs.id = id;
     obs.provisioning = inst.state == InstanceState::Provisioning;
     obs.ready_at = inst.ready_at;
@@ -229,13 +229,13 @@ void MonitorStore::refresh_fields(SimTime now, std::uint32_t pool_cap,
     obs.revoke_at = obs.revoking ? inst.crash_at : -1.0;
     if (inst.state == InstanceState::Ready) {
       obs.time_to_next_charge = cloud.time_to_next_charge(id, now);
-      obs.running_tasks = framework.tasks_on(id);
+      framework.append_tasks_on(id, running);
       obs.free_slots = framework.free_slots(id);
     } else {
       obs.time_to_next_charge = config.charging_unit_seconds;
       obs.free_slots = config.slots_per_instance;
     }
-    snap_.instances.push_back(std::move(obs));
+    obs.running_tasks = std::move(running);
   }
 }
 
@@ -275,16 +275,19 @@ const MonitorSnapshot& MonitorStore::refresh(SimTime now,
   // Lifecycle diff against the previous published snapshot's rows (the
   // rebuild above is already O(live); this adds one sorted merge over the
   // same rows). Peeks skip this entirely, so a dropout interval's changes
-  // coalesce into the next exact delta.
+  // coalesce into the next exact delta. The rows come from cloud.live(), so
+  // they are already in ascending id order.
   cur_lifecycle_.clear();
   for (const InstanceObservation& obs : snap_.instances) {
     cur_lifecycle_.push_back({obs.id, obs.provisioning, obs.draining,
                               obs.revoking, obs.ready_at, obs.revoke_at});
   }
-  std::sort(cur_lifecycle_.begin(), cur_lifecycle_.end(),
-            [](const InstanceLifecycle& a, const InstanceLifecycle& b) {
-              return a.id < b.id;
-            });
+  WIRE_CHECK(std::is_sorted(cur_lifecycle_.begin(), cur_lifecycle_.end(),
+                            [](const InstanceLifecycle& a,
+                               const InstanceLifecycle& b) {
+                              return a.id < b.id;
+                            }),
+             "monitoring rows out of id order");
   snap_.delta.instances_changed.clear();
   {
     std::size_t i = 0, j = 0;

@@ -88,8 +88,11 @@ class MonitorStore {
   /// coalesce per step instead of one dedup probe per transition. A refresh
   /// mid-step (control ticks fire inside a step) flushes the buffer first,
   /// so published deltas are identical to the per-event path.
-  void begin_step();
-  void end_step();
+  void begin_step() { in_step_ = true; }
+  void end_step() {
+    if (!step_phase_.empty()) flush_step();
+    in_step_ = false;
+  }
 
   /// Finalizes the per-tick view: refreshes the time-dependent fields of the
   /// running set, rebuilds the instance rows (O(live)) and the ready queue

@@ -63,12 +63,13 @@ class SharedChannel {
 
   /// Guard handler: advances to `now`, drops the flows whose attempt is no
   /// longer `alive` (handing each to `on_stale`), re-arms the guard and
-  /// returns the completed flows in channel order.
+  /// overwrites `finished` with the completed flows in channel order (the
+  /// caller owns the buffer, so a guard allocates nothing once it is warm).
   template <class Alive, class OnStale>
-  std::vector<Flow> settle(SimTime now, EventQueue& queue, Alive&& alive,
-                           OnStale&& on_stale) {
+  void settle(SimTime now, EventQueue& queue, Alive&& alive,
+              OnStale&& on_stale, std::vector<Flow>& finished) {
     advance(now);
-    std::vector<Flow> finished;
+    finished.clear();
     std::size_t keep = 0;
     for (std::size_t i = 0; i < flows_.size(); ++i) {
       const Flow f = flows_[i];
@@ -82,7 +83,6 @@ class SharedChannel {
     }
     flows_.resize(keep);
     arm(now, queue);
-    return finished;
   }
 
   /// Drops the flows whose attempt is no longer `alive` (handing each to

@@ -2,6 +2,8 @@
 // per-started-unit billing, and drain-at-boundary semantics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "policies/baselines.h"
 #include "sim/cloud.h"
 #include "sim/driver.h"
@@ -49,6 +51,19 @@ TEST(CloudPool, TimeToNextChargeWrapsEachUnit) {
   EXPECT_DOUBLE_EQ(pool.time_to_next_charge(id, 899.0), 1.0);
   EXPECT_DOUBLE_EQ(pool.time_to_next_charge(id, 900.0), 900.0);
   EXPECT_DOUBLE_EQ(pool.time_to_next_charge(id, 1000.0), 800.0);
+}
+
+TEST(CloudPool, TimeToNextChargeAtAndJustPastABoundary) {
+  CloudPool pool(test_config());
+  const InstanceId id = pool.request_ready(0.0, 1.0);
+  // On the boundary a fresh unit has just started: a full unit remains.
+  EXPECT_EQ(pool.time_to_next_charge(id, 1800.0), 900.0);
+  // 1e-7 s past it (below the 1e-6 billing epsilon) that sliver is already
+  // taken off the unit; there is no snap back to a full unit.
+  const double past = pool.time_to_next_charge(id, 1800.0 + 1e-7);
+  EXPECT_LT(past, 900.0);
+  EXPECT_NEAR(past, 900.0 - 1e-7, 1e-9);
+  EXPECT_EQ(past, 900.0 - std::fmod(1800.0 + 1e-7, 900.0));
 }
 
 TEST(CloudPool, BillingRoundsUpToStartedUnits) {

@@ -3,9 +3,14 @@
 // bookkeeping, resubmission, and monitoring observations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "dag/workflow.h"
 #include "sim/framework.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "workload/generators.h"
 
 namespace wire::sim {
@@ -51,11 +56,11 @@ TEST(FrameworkMaster, LifecycleTransitions) {
   fm.on_exec_done(t, 17.0);
   EXPECT_DOUBLE_EQ(fm.runtime(t).exec_time, 5.0);
 
-  const auto newly = fm.on_complete(t, 18.0);
+  EXPECT_EQ(fm.on_complete(t, 18.0), 1u);
   EXPECT_EQ(fm.runtime(t).phase, TaskPhase::Completed);
   EXPECT_DOUBLE_EQ(fm.runtime(t).transfer_out_time, 1.0);
-  ASSERT_EQ(newly.size(), 1u);
-  EXPECT_EQ(newly[0], 1u);  // b became ready
+  EXPECT_EQ(fm.runtime(1).phase, TaskPhase::Ready);  // b became ready
+  EXPECT_EQ(fm.peek_ready(), std::optional<TaskId>(2u));  // root c first
   EXPECT_EQ(fm.free_slots(0), 4u);
   EXPECT_DOUBLE_EQ(fm.busy_slot_seconds(), 8.0);
 }
@@ -215,6 +220,103 @@ TEST(FrameworkMaster, InvalidTransitionsThrow) {
   fm.on_dispatch(t, 0, 0, 0.0);
   EXPECT_THROW(fm.on_dispatch(t, 0, 1, 0.0), util::ContractViolation);
   EXPECT_THROW(fm.on_complete(2, 1.0), util::ContractViolation);
+}
+
+TEST(FrameworkMaster, FreeSlotCountTracksEveryTransition) {
+  // Random dispatch / complete / resubmit / fault / OOM steps over three
+  // registered instances (ids 0, 2, 3; id 1 is never registered), checked
+  // after every step against a plain per-slot model.
+  const dag::Workflow wf = workload::linear_workflow(1, 40, 5.0, "wide");
+  FrameworkMaster fm(wf);
+  constexpr std::uint32_t kSlots = 3;
+  const std::vector<InstanceId> ids = {0, 2, 3};
+  std::vector<std::vector<TaskId>> model(4);
+  for (InstanceId id : ids) {
+    fm.register_instance(id, kSlots);
+    fm.register_instance(id, 7);  // idempotent: the first size sticks
+    model[id].assign(kSlots, dag::kInvalidTask);
+  }
+  util::Rng rng(17);
+  double now = 0.0;
+  std::vector<TaskId> running;
+  std::vector<TaskId> retrying;
+
+  const auto check = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    for (InstanceId id : ids) {
+      std::vector<TaskId> want;
+      for (TaskId t : model[id]) {
+        if (t != dag::kInvalidTask) want.push_back(t);
+      }
+      EXPECT_EQ(fm.tasks_on(id), want);
+      EXPECT_EQ(fm.free_slots(id), kSlots - fm.tasks_on(id).size());
+      if (fm.free_slots(id) > 0) {
+        const auto lowest = static_cast<std::uint32_t>(
+            std::find(model[id].begin(), model[id].end(), dag::kInvalidTask) -
+            model[id].begin());
+        EXPECT_EQ(fm.take_free_slot(id), lowest);
+      }
+    }
+    EXPECT_EQ(fm.free_slots(1), 0u);
+    EXPECT_EQ(fm.free_slots(99), 0u);
+    EXPECT_TRUE(fm.tasks_on(1).empty());
+    EXPECT_DOUBLE_EQ(fm.mem_used(1), 0.0);
+  };
+  const auto unbind = [&](TaskId t) {
+    const TaskRuntime& rt = fm.runtime(t);
+    model[rt.instance][rt.slot] = dag::kInvalidTask;
+    running.erase(std::find(running.begin(), running.end(), t));
+  };
+
+  check(-1);
+  int kinds_seen[5] = {0, 0, 0, 0, 0};
+  for (int step = 0; step < 600 && !fm.all_complete(); ++step) {
+    now += 1.0;
+    const auto action = rng.uniform_int(0, 9);
+    if (action < 4) {
+      if (!fm.has_ready()) continue;
+      const InstanceId id = ids[rng.uniform_int(0, 2)];
+      if (fm.free_slots(id) == 0) continue;
+      const TaskId t = fm.pop_ready();
+      const std::uint32_t slot = fm.take_free_slot(id);
+      fm.on_dispatch(t, id, slot, now, 100.0);
+      fm.on_transfer_in_done(t, now);
+      model[id][slot] = t;
+      running.push_back(t);
+      ++kinds_seen[0];
+    } else if (action < 6) {
+      if (running.empty()) continue;
+      const TaskId t = running[rng.uniform_int(0, running.size() - 1)];
+      unbind(t);
+      fm.on_exec_done(t, now);
+      fm.on_complete(t, now);
+      ++kinds_seen[1];
+    } else if (action == 6) {
+      const InstanceId id = ids[rng.uniform_int(0, 2)];
+      const std::vector<TaskId> on_it = fm.tasks_on(id);
+      for (TaskId t : on_it) unbind(t);
+      EXPECT_EQ(fm.resubmit_tasks_on(id, now), on_it);
+      ++kinds_seen[2];
+    } else if (action == 7 || action == 8) {
+      if (running.empty()) continue;
+      const TaskId t = running[rng.uniform_int(0, running.size() - 1)];
+      unbind(t);
+      if (action == 7) {
+        fm.on_task_failed(t, now);
+        ++kinds_seen[3];
+      } else {
+        fm.on_task_oom(t, now);
+        ++kinds_seen[4];
+      }
+      retrying.push_back(t);
+    } else {
+      for (TaskId t : retrying) fm.requeue_failed(t, now);
+      retrying.clear();
+    }
+    check(step);
+  }
+  for (int seen : kinds_seen) EXPECT_GT(seen, 0);
+  for (InstanceId id : ids) EXPECT_GE(fm.mem_used(id), 0.0);
 }
 
 }  // namespace
