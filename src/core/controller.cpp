@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/steering.h"
 #include "predict/oracle.h"
@@ -112,12 +113,19 @@ sim::PoolCommand WireController::plan(const sim::MonitorSnapshot& snapshot) {
     // Ablation: no DAG projection — only the tasks active right now. With
     // the memory dimension on, entries still carry their reservations so
     // the memory-aware Algorithm 3 packs the same constraint the
-    // dispatcher enforces.
+    // dispatcher enforces. With the online predictor, one scope evaluates
+    // the stage-wide policies (1-2) once per stage for the whole pass.
+    std::optional<predict::PredictionScope> scope;
+    if (online_ != nullptr) scope.emplace(*online_, snapshot);
+    const auto occupancy = [&](dag::TaskId task) {
+      return scope ? online_->predict_remaining_occupancy(task, snapshot,
+                                                          &*scope)
+                   : estimator_->predict_remaining_occupancy(task, snapshot);
+    };
     for (const sim::InstanceObservation& inst : snapshot.instances) {
       for (dag::TaskId task : inst.running_tasks) {
         ablation_scratch.upcoming.push_back(UpcomingTask{
-            estimator_->predict_remaining_occupancy(task, snapshot), task,
-            /*on_slot=*/true,
+            occupancy(task), task, /*on_slot=*/true,
             memory_ ? memory_->predict_reservation(task, snapshot) : 0.0});
         auto [it, inserted] =
             ablation_scratch.restart_cost.try_emplace(inst.id, 0.0);
@@ -126,8 +134,7 @@ sim::PoolCommand WireController::plan(const sim::MonitorSnapshot& snapshot) {
     }
     for (dag::TaskId task : snapshot.ready_queue) {
       ablation_scratch.upcoming.push_back(UpcomingTask{
-          estimator_->predict_remaining_occupancy(task, snapshot), task,
-          /*on_slot=*/false,
+          occupancy(task), task, /*on_slot=*/false,
           memory_ ? memory_->predict_reservation(task, snapshot) : 0.0});
     }
   } else {

@@ -107,6 +107,11 @@ struct LookaheadResult {
 /// from the true schedule; §III-D argues (and §IV-E confirms) the effect is
 /// minor.
 ///
+/// Estimates come from the plain Estimator interface, one call per task,
+/// with no predict::PredictionScope: this is the from-scratch reference the
+/// incremental lookahead (lookahead_cache.h), which does use one, is
+/// differential-tested against.
+///
 /// `state`, when non-null and ready, supplies the incomplete-predecessor
 /// counts maintained incrementally across ticks (see RunState), replacing
 /// the O(V + E) per-call seeding scan with an O(V) copy. Null keeps the

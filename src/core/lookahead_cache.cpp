@@ -77,11 +77,12 @@ AnalyzePath IncrementalLookahead::classify(
 double IncrementalLookahead::memo_exec(const dag::Workflow& workflow,
                                        const predict::TaskPredictor& online,
                                        TaskId task,
-                                       const sim::MonitorSnapshot& snapshot) {
+                                       const sim::MonitorSnapshot& snapshot,
+                                       predict::PredictionScope& scope) {
   const sim::TaskObservation& obs = snapshot.tasks[task];
   if (obs.phase == TaskPhase::Completed) {
     // The lookahead never asks about completed tasks; defensive passthrough.
-    return online.predict_exec(task, snapshot).exec_seconds;
+    return online.predict_exec(task, snapshot, &scope).exec_seconds;
   }
   const std::uint64_t revision =
       online.stage_revision(workflow.task(task).stage);
@@ -94,7 +95,7 @@ double IncrementalLookahead::memo_exec(const dag::Workflow& workflow,
     return entry.exec;
   }
   ++stats_.memo_misses;
-  const predict::Prediction pred = online.predict_exec(task, snapshot);
+  const predict::Prediction pred = online.predict_exec(task, snapshot, &scope);
   if (pred.policy == predict::Policy::CompletedNotReady ||
       pred.policy == predict::Policy::CompletedKnownSize ||
       pred.policy == predict::Policy::CompletedNewSize) {
@@ -103,7 +104,8 @@ double IncrementalLookahead::memo_exec(const dag::Workflow& workflow,
     entry.ready_class = ready_class;
     entry.valid = true;
   } else {
-    // Policies 1-2: wall-time / peer-dispatch dependent, never cached.
+    // Policies 1-2: wall-time / peer-dispatch dependent, never cached across
+    // ticks (the tick's scope evaluates them once per stage).
     entry.valid = false;
   }
   return pred.exec_seconds;
@@ -111,7 +113,8 @@ double IncrementalLookahead::memo_exec(const dag::Workflow& workflow,
 
 double IncrementalLookahead::memo_occupancy(
     const dag::Workflow& workflow, const predict::TaskPredictor& online,
-    TaskId task, const sim::MonitorSnapshot& snapshot) {
+    TaskId task, const sim::MonitorSnapshot& snapshot,
+    predict::PredictionScope& scope) {
   OccupancyMemo& entry = occ_memo_[task];
   // A key surviving to the current generation proves (see OccupancyMemo)
   // that the task's phase, its stage model and the transfer estimate are
@@ -124,10 +127,11 @@ double IncrementalLookahead::memo_occupancy(
   const sim::TaskObservation& obs = snapshot.tasks[task];
   if (obs.phase == TaskPhase::Ready || obs.phase == TaskPhase::Pending) {
     const double occ = online.remaining_occupancy_with(
-        memo_exec(workflow, online, task, snapshot), obs);
+        memo_exec(workflow, online, task, snapshot, scope), obs);
     // memo_exec just validated the exec-level entry for this task; the
     // composed value is only storable when the exec estimate was (policies
-    // 1-2 are never cached, and neither are their compositions).
+    // 1-2 are never cached across ticks, and neither are their
+    // compositions).
     entry.occupancy = occ;
     entry.key = memo_[task].valid ? occ_key_ : 0;
     return occ;
@@ -135,7 +139,7 @@ double IncrementalLookahead::memo_occupancy(
   // Running (wall-clock-dependent remainder) and Completed (zero): compose
   // from the exec estimate every time.
   return online.remaining_occupancy_with(
-      memo_exec(workflow, online, task, snapshot), obs);
+      memo_exec(workflow, online, task, snapshot, scope), obs);
 }
 
 const LookaheadResult& IncrementalLookahead::tick(
@@ -249,20 +253,41 @@ const LookaheadResult& IncrementalLookahead::tick(
                              : 0.0;
   };
 
-  if (last_path_ == AnalyzePath::kIncremental && online != nullptr) {
-    detail::simulate_interval_impl(
-        workflow, snapshot, config, *preds, undo_log,
-        [&](TaskId task) {
-          return memo_occupancy(workflow, *online, task, snapshot);
-        },
-        [&](TaskId task) {
-          return online->transfer_estimate() +
-                 memo_exec(workflow, *online, task, snapshot);
-        },
-        mem_of, cap, capture, scratch, plan_capture, result_);
+  if (online != nullptr) {
+    // Every estimate this tick is made against one snapshot at one predictor
+    // revision, so one scope serves both paths: the stage-wide policies
+    // (1-2) scan a stage's peers once per tick instead of once per queued
+    // task. Bit-identical to the unscoped calls simulate_interval makes.
+    predict::PredictionScope scope(*online, snapshot);
+    if (last_path_ == AnalyzePath::kIncremental) {
+      detail::simulate_interval_impl(
+          workflow, snapshot, config, *preds, undo_log,
+          [&](TaskId task) {
+            return memo_occupancy(workflow, *online, task, snapshot, scope);
+          },
+          [&](TaskId task) {
+            return online->transfer_estimate() +
+                   memo_exec(workflow, *online, task, snapshot, scope);
+          },
+          mem_of, cap, capture, scratch, plan_capture, result_);
+    } else {
+      // Fallback: direct predictor calls, composed exactly as the
+      // Estimator interface composes them.
+      detail::simulate_interval_impl(
+          workflow, snapshot, config, *preds, undo_log,
+          [&](TaskId task) {
+            return online->predict_remaining_occupancy(task, snapshot,
+                                                       &scope);
+          },
+          [&](TaskId task) {
+            return online->transfer_estimate() +
+                   online->predict_exec(task, snapshot, &scope).exec_seconds;
+          },
+          mem_of, cap, capture, scratch, /*plan_capture=*/false, result_);
+    }
   } else {
-    // Fallback (and the no-online-predictor fast path): the exact occupancy
-    // lambdas simulate_interval uses.
+    // No online predictor (oracle/history): the exact occupancy lambdas
+    // simulate_interval uses.
     detail::simulate_interval_impl(
         workflow, snapshot, config, *preds, undo_log,
         [&](TaskId task) {

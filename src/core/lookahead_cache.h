@@ -18,7 +18,8 @@
 //
 // The delta classification decides, per tick, whether the memo can be
 // trusted wholesale or the cache should fall back to direct predictor calls
-// (the exact lambdas simulate_interval uses):
+// (bit-identical to the lambdas simulate_interval uses; both paths share one
+// per-tick predict::PredictionScope for the stage-wide policies 1-2):
 //
 //   kFirstTick      first projection of a run — nothing cached yet.
 //   kNonExactDelta  coalesced/dropout or hand-built snapshot — the journal
@@ -229,10 +230,12 @@ class IncrementalLookahead {
   /// predict_exec(task).exec_seconds by construction (the stored double is
   /// the value a direct call returned, and policies 3-5 are pure functions
   /// of the memo key). Policies 1-2 depend on wall time and peer dispatches
-  /// that no revision tracks, so they are never stored.
+  /// that no revision tracks, so they are never stored across ticks; within
+  /// a tick `scope` evaluates them once per stage.
   double memo_exec(const dag::Workflow& workflow,
                    const predict::TaskPredictor& online, dag::TaskId task,
-                   const sim::MonitorSnapshot& snapshot);
+                   const sim::MonitorSnapshot& snapshot,
+                   predict::PredictionScope& scope);
 
   /// Revision-validated remaining occupancy: the stored double is the value
   /// remaining_occupancy_with returned for the same (exec, observation)
@@ -240,7 +243,8 @@ class IncrementalLookahead {
   /// memo_exec + composition for Running/Completed tasks.
   double memo_occupancy(const dag::Workflow& workflow,
                         const predict::TaskPredictor& online, dag::TaskId task,
-                        const sim::MonitorSnapshot& snapshot);
+                        const sim::MonitorSnapshot& snapshot,
+                        predict::PredictionScope& scope);
 
   LookaheadCacheOptions options_;
   LookaheadCacheStats stats_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "core/steering.h"
@@ -28,8 +29,11 @@ void DeadlinePolicy::on_run_start(const dag::Workflow& workflow,
   if (history_) {
     predictor_ = std::make_unique<predict::HistoryEstimator>(workflow,
                                                              *history_);
+    online_ = nullptr;
   } else {
-    predictor_ = std::make_unique<predict::TaskPredictor>(workflow);
+    auto online = std::make_unique<predict::TaskPredictor>(workflow);
+    online_ = online.get();
+    predictor_ = std::move(online);
   }
 }
 
@@ -39,13 +43,18 @@ sim::PoolCommand DeadlinePolicy::plan(const sim::MonitorSnapshot& snapshot) {
 
   // Predicted remaining work (slot-seconds) across all incomplete tasks —
   // running tasks contribute their conservative minimum remainder, unstarted
-  // ones their full estimate.
+  // ones their full estimate. With the online predictor, one scope evaluates
+  // the stage-wide policies (1-2) once per stage, not once per task.
+  std::optional<predict::PredictionScope> scope;
+  if (online_ != nullptr) scope.emplace(*online_, snapshot);
   double remaining_work = 0.0;
   std::uint32_t incomplete = 0;
   for (dag::TaskId t = 0; t < workflow_->task_count(); ++t) {
     if (snapshot.tasks[t].phase == sim::TaskPhase::Completed) continue;
     ++incomplete;
-    remaining_work += predictor_->predict_remaining_occupancy(t, snapshot);
+    remaining_work +=
+        scope ? online_->predict_remaining_occupancy(t, snapshot, &*scope)
+              : predictor_->predict_remaining_occupancy(t, snapshot);
   }
 
   sim::PoolCommand cmd;

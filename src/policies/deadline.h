@@ -44,6 +44,8 @@ class DeadlinePolicy final : public sim::ScalingPolicy {
   const dag::Workflow* workflow_ = nullptr;
   sim::CloudConfig config_;
   std::unique_ptr<predict::Estimator> predictor_;
+  /// predictor_ when it is the online TaskPredictor, else null.
+  const predict::TaskPredictor* online_ = nullptr;
 };
 
 }  // namespace wire::policies

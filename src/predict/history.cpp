@@ -1,9 +1,8 @@
 #include "predict/history.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
+#include "predict/input_bucket.h"
 #include "util/check.h"
 #include "util/stats.h"
 
@@ -46,7 +45,8 @@ HistoryEstimator::HistoryEstimator(const dag::Workflow& workflow,
     WIRE_REQUIRE(rec.exec_seconds >= 0.0,
                  "history record with negative execution time");
     const dag::TaskSpec& spec = workflow.task(rec.task);
-    groups[spec.stage][bucket_key(spec.input_mb)].push_back(rec.exec_seconds);
+    groups[spec.stage][input_bucket_key(spec.input_mb, bucket_tol_)]
+        .push_back(rec.exec_seconds);
     per_stage[spec.stage].push_back(rec.exec_seconds);
     if (rec.transfer_seconds > 0.0) transfers.push_back(rec.transfer_seconds);
   }
@@ -63,11 +63,6 @@ HistoryEstimator::HistoryEstimator(const dag::Workflow& workflow,
   }
 }
 
-long HistoryEstimator::bucket_key(double input_mb) const {
-  if (input_mb <= 0.0) return std::numeric_limits<long>::min();
-  return std::lround(std::log(input_mb) / std::log1p(bucket_tol_));
-}
-
 void HistoryEstimator::observe(const sim::MonitorSnapshot& /*snapshot*/) {
   // By design: Jockey-style predictors are trained offline.
 }
@@ -77,7 +72,7 @@ double HistoryEstimator::estimate_exec(
   WIRE_REQUIRE(task < workflow_->task_count(), "unknown task id");
   const dag::TaskSpec& spec = workflow_->task(task);
   const auto& buckets = group_median_[spec.stage];
-  const auto it = buckets.find(bucket_key(spec.input_mb));
+  const auto it = buckets.find(input_bucket_key(spec.input_mb, bucket_tol_));
   if (it != buckets.end()) return it->second;
   return stage_median_[spec.stage];
 }

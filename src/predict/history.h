@@ -58,8 +58,6 @@ class HistoryEstimator final : public Estimator {
   std::size_t state_bytes() const override;
 
  private:
-  long bucket_key(double input_mb) const;
-
   const dag::Workflow* workflow_;
   double bucket_tol_;
   /// stage -> bucket -> median exec of the prior run's group.

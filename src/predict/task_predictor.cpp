@@ -1,9 +1,8 @@
 #include "predict/task_predictor.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
+#include "predict/input_bucket.h"
 #include "util/check.h"
 #include "util/stats.h"
 
@@ -29,12 +28,6 @@ double TaskPredictor::center(std::vector<double> values) const {
   WIRE_CHECK(!values.empty(), "center of empty sample");
   return config_.use_mean ? util::mean(values)
                           : util::median(std::move(values));
-}
-
-long TaskPredictor::bucket_key(double input_mb) const {
-  if (input_mb <= 0.0) return std::numeric_limits<long>::min();
-  const double base = std::log1p(config_.input_bucket_rel_tol);
-  return std::lround(std::log(input_mb) / base);
 }
 
 void TaskPredictor::add_sample(SampleSet& set, double value) const {
@@ -77,7 +70,8 @@ void TaskPredictor::record_completion(TaskId task,
   ++stage.completed;
   stage.dirty = true;
 
-  Group& group = stage.groups[bucket_key(spec.input_mb)];
+  Group& group = stage.groups[input_bucket_key(
+      spec.input_mb, config_.input_bucket_rel_tol)];
   add_sample(group.exec, obs.exec_time);
   group.input_mb_sum += spec.input_mb;
 
@@ -101,7 +95,8 @@ void TaskPredictor::observe_failure(TaskId task,
   add_sample(stage.completed_exec, obs.last_failed_elapsed);
   ++stage.completed;
   stage.dirty = true;
-  Group& group = stage.groups[bucket_key(spec.input_mb)];
+  Group& group = stage.groups[input_bucket_key(
+      spec.input_mb, config_.input_bucket_rel_tol)];
   add_sample(group.exec, obs.last_failed_elapsed);
   group.input_mb_sum += spec.input_mb;
 }
@@ -184,9 +179,36 @@ void TaskPredictor::observe(const sim::MonitorSnapshot& snapshot) {
   if (changed) ++revision_;
 }
 
-Prediction TaskPredictor::predict_exec(
-    TaskId task, const sim::MonitorSnapshot& snapshot) const {
+Prediction TaskPredictor::stage_wide_prediction(
+    StageId stage, const sim::MonitorSnapshot& snapshot) const {
+  // A running task's "run time" counts from when it fired (became ready):
+  // the unstarted peers are likely to run at least as long as the active
+  // ones have been in flight since the stage fired. Measuring from the fire
+  // time (rather than slot occupancy) keeps the estimate from diluting as
+  // freshly dispatched peers join the running set.
+  std::vector<double> running_time;
+  for (TaskId peer : workflow_->stage_tasks(stage)) {
+    const sim::TaskObservation& p = snapshot.tasks[peer];
+    if (p.phase == TaskPhase::Running && p.ready_since >= 0.0) {
+      running_time.push_back(snapshot.now - p.ready_since);
+    }
+  }
+  if (running_time.empty()) {
+    return {0.0, Policy::NoneStarted};
+  }
+  return {center(std::move(running_time)), Policy::RunningOnly};
+}
+
+Prediction TaskPredictor::predict_exec(TaskId task,
+                                       const sim::MonitorSnapshot& snapshot,
+                                       PredictionScope* scope) const {
   WIRE_REQUIRE(task < workflow_->task_count(), "unknown task id");
+  if (scope != nullptr) {
+    WIRE_CHECK(scope->predictor_ == this && scope->revision_ == revision_,
+               "prediction scope built for another predictor or revision");
+    WIRE_CHECK(scope->snapshot_ == &snapshot && scope->now_ == snapshot.now,
+               "prediction scope used with another snapshot");
+  }
   const dag::TaskSpec& spec = workflow_->task(task);
   const StageState& stage = stages_[spec.stage];
   const sim::TaskObservation& obs = snapshot.tasks[task];
@@ -197,23 +219,16 @@ Prediction TaskPredictor::predict_exec(
   }
 
   if (stage.completed == 0) {
-    // Policies 1 and 2: nothing completed in this stage yet. A running
-    // task's "run time" counts from when it fired (became ready): the
-    // unstarted peers are likely to run at least as long as the active ones
-    // have been in flight since the stage fired. Measuring from the fire
-    // time (rather than slot occupancy) keeps the estimate from diluting as
-    // freshly dispatched peers join the running set.
-    std::vector<double> running_time;
-    for (TaskId peer : workflow_->stage_tasks(spec.stage)) {
-      const sim::TaskObservation& p = snapshot.tasks[peer];
-      if (p.phase == TaskPhase::Running && p.ready_since >= 0.0) {
-        running_time.push_back(snapshot.now - p.ready_since);
-      }
+    // Policies 1 and 2: nothing completed in this stage yet — one estimate
+    // for the whole stage, evaluated once per scope.
+    if (scope == nullptr) return stage_wide_prediction(spec.stage, snapshot);
+    if (scope->slots_.empty()) scope->slots_.resize(stages_.size());
+    PredictionScope::Slot& slot = scope->slots_[spec.stage];
+    if (!slot.filled) {
+      slot.prediction = stage_wide_prediction(spec.stage, snapshot);
+      slot.filled = true;
     }
-    if (running_time.empty()) {
-      return {0.0, Policy::NoneStarted};
-    }
-    return {center(std::move(running_time)), Policy::RunningOnly};
+    return slot.prediction;
   }
 
   // Stage has completed tasks.
@@ -224,7 +239,8 @@ Prediction TaskPredictor::predict_exec(
     return {stage.completed_exec.center, Policy::CompletedNotReady};
   }
 
-  const auto it = stage.groups.find(bucket_key(spec.input_mb));
+  const auto it = stage.groups.find(
+      input_bucket_key(spec.input_mb, config_.input_bucket_rel_tol));
   if (it != stage.groups.end()) {
     // Policy 4: equivalent input size seen among completed peers.
     return {it->second.exec.center, Policy::CompletedKnownSize};
@@ -248,7 +264,8 @@ bool TaskPredictor::counterfactual_exec(TaskId task,
   // The completed task was ready when it ran, so replay the ready-task
   // policies (4, then 5) against the pre-harvest state. Centres are always
   // flushed here: observe() flushes every dirty stage before returning.
-  const auto it = stage.groups.find(bucket_key(spec.input_mb));
+  const auto it = stage.groups.find(
+      input_bucket_key(spec.input_mb, config_.input_bucket_rel_tol));
   if (it != stage.groups.end()) {
     *exec_seconds = it->second.exec.center;
     return true;
@@ -295,10 +312,16 @@ bool TaskPredictor::reconfigure(const PredictorConfig& config) {
 
 double TaskPredictor::predict_remaining_occupancy(
     TaskId task, const sim::MonitorSnapshot& snapshot) const {
+  return predict_remaining_occupancy(task, snapshot, nullptr);
+}
+
+double TaskPredictor::predict_remaining_occupancy(
+    TaskId task, const sim::MonitorSnapshot& snapshot,
+    PredictionScope* scope) const {
   const sim::TaskObservation& obs = snapshot.tasks[task];
   if (obs.phase == TaskPhase::Completed) return 0.0;
-  return remaining_occupancy_with(predict_exec(task, snapshot).exec_seconds,
-                                  obs);
+  return remaining_occupancy_with(
+      predict_exec(task, snapshot, scope).exec_seconds, obs);
 }
 
 double TaskPredictor::remaining_occupancy_with(

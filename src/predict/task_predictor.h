@@ -69,6 +69,8 @@ struct Prediction {
   Policy policy = Policy::NoneStarted;
 };
 
+class PredictionScope;
+
 class TaskPredictor : public Estimator {
  public:
   /// Binds to a workflow (kept by reference; must outlive the predictor).
@@ -85,9 +87,13 @@ class TaskPredictor : public Estimator {
 
   /// Policies 1–5 estimate of `task`'s total execution time, given the
   /// current snapshot (which also supplies the task's readiness and the
-  /// stage's running-task elapsed times).
+  /// stage's running-task elapsed times). With a `scope` built for this
+  /// predictor and `snapshot`, the stage-wide policies (1-2) scan a stage's
+  /// peers once per scope instead of once per call; the result is
+  /// bit-identical either way (see PredictionScope).
   Prediction predict_exec(dag::TaskId task,
-                          const sim::MonitorSnapshot& snapshot) const;
+                          const sim::MonitorSnapshot& snapshot,
+                          PredictionScope* scope = nullptr) const;
 
   /// Counterfactual execution estimate for a task that just completed: what
   /// the ready-task policies (4/5) would have predicted from the *current*
@@ -127,6 +133,12 @@ class TaskPredictor : public Estimator {
   double predict_remaining_occupancy(
       dag::TaskId task, const sim::MonitorSnapshot& snapshot) const override;
 
+  /// The same occupancy with the execution estimate taken through `scope`
+  /// (predict_exec's optional argument) — bit-identical to the unscoped call.
+  double predict_remaining_occupancy(dag::TaskId task,
+                                     const sim::MonitorSnapshot& snapshot,
+                                     PredictionScope* scope) const;
+
   /// The remaining-occupancy composition with the execution estimate
   /// supplied by the caller (the incremental lookahead's revision-validated
   /// memo). predict_remaining_occupancy(t, snap) ==
@@ -165,8 +177,11 @@ class TaskPredictor : public Estimator {
   std::size_t iterations() const { return iterations_; }
 
  private:
-  /// Geometric bucket key for an input size; equal keys = "equivalent".
-  long bucket_key(double input_mb) const;
+  /// Policies 1-2 for a stage with no completions: the centre of its running
+  /// peers' time since the stage fired, or 0 when none runs. Depends only on
+  /// the stage and the snapshot, never on which task asked.
+  Prediction stage_wide_prediction(dag::StageId stage,
+                                   const sim::MonitorSnapshot& snapshot) const;
 
   /// The configured centre statistic: median (paper default) or mean
   /// (ablation).
@@ -237,6 +252,42 @@ class TaskPredictor : public Estimator {
   std::uint64_t revision_ = 0;
   std::uint32_t last_refit_stages_ = 0;
   std::size_t iterations_ = 0;
+};
+
+/// A per-snapshot memo of the stage-wide policies. Policies 1-2 give every
+/// unfinished task of a stage without completions the same estimate, so a
+/// caller predicting many tasks against one snapshot (a lookahead
+/// projection, a remaining-work sum) would otherwise rescan the stage's
+/// peers once per task. The scope keeps one slot per stage, filled the first
+/// time any of its tasks reaches policy 1-2, and is caller-owned and meant
+/// to live on the stack for one pass over one snapshot: it is valid only for
+/// the predictor, the predictor revision() and the snapshot (address and
+/// `now`) it was built for, and every predict_exec through it WIRE_CHECKs
+/// them — observe() and reconfigure() invalidate it. Policies 3-5 neither
+/// read nor fill its slots.
+class PredictionScope {
+ public:
+  PredictionScope(const TaskPredictor& predictor,
+                  const sim::MonitorSnapshot& snapshot)
+      : predictor_(&predictor),
+        snapshot_(&snapshot),
+        now_(snapshot.now),
+        revision_(predictor.revision()) {}
+
+ private:
+  friend class TaskPredictor;
+
+  struct Slot {
+    Prediction prediction;
+    bool filled = false;
+  };
+
+  const TaskPredictor* predictor_;
+  const sim::MonitorSnapshot* snapshot_;
+  double now_;
+  std::uint64_t revision_;
+  /// One slot per stage, sized on the first policy-1/2 query.
+  std::vector<Slot> slots_;
 };
 
 }  // namespace wire::predict

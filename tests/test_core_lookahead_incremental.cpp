@@ -693,6 +693,67 @@ TEST(LookaheadDedupe, RequeuedDrainingTaskAlreadyInReadyQueueProjectsOnce) {
   EXPECT_EQ(task1_count, 1u);
 }
 
+TEST(LookaheadDifferential, StrandedDrainTasksMatchReferenceOnBothPaths) {
+  // Tasks stranded on a draining instance are re-projected at their full
+  // fresh occupancy — the projection's second estimate callback. The chaos
+  // runs rarely reach it, so pin it here on a stage with no completions
+  // (policy 2, served through the tick's PredictionScope): once on a
+  // fallback tick (first tick) and once on the memoized incremental tick,
+  // both bit-equal to the unscoped from-scratch reference.
+  const dag::Workflow wf = workload::linear_workflow(2, 4, 300.0);
+  predict::TaskPredictor predictor(wf);
+  MonitorSnapshot snap;
+  snap.now = 100.0;
+  snap.tasks.assign(wf.task_count(), sim::TaskObservation{});
+  for (const dag::TaskSpec& t : wf.tasks()) {
+    snap.tasks[t.id].input_mb = t.input_mb;
+  }
+  snap.incomplete_tasks = static_cast<std::uint32_t>(wf.task_count());
+  // Stage 0: tasks 0-1 stranded on the draining instance, task 2 running on
+  // the stable one, task 3 queued. Distinct fire times keep policy 2 honest.
+  for (TaskId t = 0; t < 3; ++t) {
+    snap.tasks[t].phase = TaskPhase::Running;
+    snap.tasks[t].ready_since = 60.0 + 10.0 * static_cast<double>(t);
+    snap.tasks[t].occupancy_start = snap.tasks[t].ready_since;
+    snap.tasks[t].elapsed = snap.now - snap.tasks[t].ready_since;
+    snap.tasks[t].elapsed_exec = snap.tasks[t].elapsed;
+    snap.tasks[t].transfer_in_time = 0.0;
+    snap.tasks[t].instance = t < 2 ? 0 : 1;
+  }
+  snap.tasks[3].phase = TaskPhase::Ready;
+  snap.tasks[3].ready_since = 60.0;
+  snap.ready_queue = {3};
+  sim::InstanceObservation draining;
+  draining.id = 0;
+  draining.draining = true;
+  draining.time_to_next_charge = 10.0;
+  draining.running_tasks = {0, 1};
+  snap.instances.push_back(draining);
+  sim::InstanceObservation stable;
+  stable.id = 1;
+  stable.time_to_next_charge = 100.0;
+  stable.running_tasks = {2};
+  stable.free_slots = 1;
+  snap.instances.push_back(stable);
+  predictor.observe(snap);
+
+  const CloudConfig config = scenario_config(Scenario::kReliable);
+  const LookaheadResult reference =
+      simulate_interval(wf, snap, predictor, config);
+  IncrementalLookahead cache;
+  cache.reset(wf);
+  expect_lookahead_eq(cache.tick(wf, snap, predictor, &predictor, config,
+                                 nullptr),
+                      reference);
+  EXPECT_EQ(cache.last_path(), AnalyzePath::kFirstTick);
+  // An exact, empty journal: nothing moved, so the next tick is quiet.
+  snap.delta.exact = true;
+  expect_lookahead_eq(cache.tick(wf, snap, predictor, &predictor, config,
+                                 nullptr),
+                      reference);
+  EXPECT_EQ(cache.last_path(), AnalyzePath::kIncremental);
+}
+
 TEST(LookaheadAdaptiveHorizon, CapEngagesAndPreservesTheRunByteForByte) {
   // A wide stage overloading a small site: hundreds of queued tasks against
   // a 3-instance ceiling. With the cap on, the queue tail is truncated once
