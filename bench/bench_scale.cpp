@@ -8,9 +8,15 @@
 // sweep doubles as a large-scale differential check: any windowed cell
 // whose report diverges from its reference fails the bench.
 //
+// Every cell also counts its resident tenants — policies alive at once,
+// through a counting policy factory. The driver builds a tenant at admission
+// and frees it at retirement, so the count follows the tenants holding a
+// share, not the stream length.
+//
 // `--smoke` runs one reduced tenant-count column as the CI tripwire:
-// asserts byte-identical reports and emits the JSON series. Exits nonzero
-// on violation.
+// asserts byte-identical reports and a resident-tenant peak of at most
+// site_cap + 1 (a deterministic count, so it holds on any host), and emits
+// the JSON series. Exits nonzero on violation.
 //
 // Both modes emit machine-readable BENCH_scale.json (the recorded scale
 // trajectory) in bench_results/, in the same perf-trajectory idiom as
@@ -19,7 +25,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -29,6 +37,7 @@
 #include "ensemble/report.h"
 #include "exp/settings.h"
 #include "sim/config.h"
+#include "sim/scaling_policy.h"
 #include "workload/profiles.h"
 
 namespace {
@@ -66,6 +75,35 @@ ensemble::ArrivalProcess dense_stream(std::uint32_t jobs) {
   return ensemble::ArrivalProcess::fixed_trace(std::move(trace), kSeedRoot);
 }
 
+/// Resident-tenant census: policies of one factory alive now, and at most.
+struct Residency {
+  std::uint32_t live = 0;
+  std::uint32_t peak = 0;
+};
+
+/// Forwards to the wrapped policy; counted in a Residency while it lives.
+class CountedPolicy : public sim::ScalingPolicy {
+ public:
+  CountedPolicy(std::unique_ptr<sim::ScalingPolicy> inner, Residency* census)
+      : inner_(std::move(inner)), census_(census) {
+    census_->peak = std::max(census_->peak, ++census_->live);
+  }
+  ~CountedPolicy() override { --census_->live; }
+
+  std::string name() const override { return inner_->name(); }
+  void on_run_start(const dag::Workflow& workflow,
+                    const sim::CloudConfig& config) override {
+    inner_->on_run_start(workflow, config);
+  }
+  sim::PoolCommand plan(const sim::MonitorSnapshot& snapshot) override {
+    return inner_->plan(snapshot);
+  }
+
+ private:
+  std::unique_ptr<sim::ScalingPolicy> inner_;
+  Residency* census_;
+};
+
 enum class Engine { Reference, Windowed };
 
 const char* engine_name(Engine engine) {
@@ -83,6 +121,9 @@ struct CellResult {
   /// Largest concurrently live tenant population seen at any sample — the
   /// arbitration fan-in the cell actually sustained.
   std::uint32_t peak_live_tenants = 0;
+  /// Most tenants holding a built policy (and engine) at once.
+  std::uint32_t peak_resident_tenants = 0;
+  std::uint32_t site_cap = 0;
   double speedup_vs_reference = 0.0;
   ensemble::EnsembleReport report;
 };
@@ -99,12 +140,17 @@ CellResult run_cell(std::uint32_t tenants, Engine engine) {
   CellResult result;
   result.tenants = tenants;
   result.engine = engine;
+  result.site_cap = options.site_cap;
+  Residency residency;
   ensemble::EnsembleDriver driver(
       {workload::tpch6_profile(workload::Scale::Small),
        workload::pagerank_profile(workload::Scale::Small)},
       dense_stream(tenants),
-      exp::sharded_policy_factory(exp::PolicyKind::PureReactive), scale_site(),
-      options);
+      [inner = exp::sharded_policy_factory(exp::PolicyKind::PureReactive),
+       &residency](std::uint32_t shard) {
+        return std::make_unique<CountedPolicy>(inner(shard), &residency);
+      },
+      scale_site(), options);
   driver.set_site_listener([&result](const ensemble::SiteSample& sample) {
     ++result.samples;
     result.peak_live_tenants =
@@ -116,6 +162,7 @@ CellResult run_cell(std::uint32_t tenants, Engine engine) {
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();
+  result.peak_resident_tenants = residency.peak;
   return result;
 }
 
@@ -138,12 +185,14 @@ void write_json(const std::vector<CellResult>& cells, bool smoke) {
         f,
         "    {\"tenants\": %u, \"engine\": \"%s\", \"wall_ms\": %.17g, "
         "\"samples\": %llu, \"peak_live_tenants\": %u, "
+        "\"peak_resident_tenants\": %u, \"site_cap\": %u, "
         "\"speedup_vs_reference\": %.17g, \"horizon_s\": %.17g, "
         "\"site_utilization\": %.17g}%s\n",
         c.tenants, engine_name(c.engine), c.wall_ms,
         static_cast<unsigned long long>(c.samples), c.peak_live_tenants,
-        c.speedup_vs_reference, c.report.horizon_seconds,
-        c.report.site_utilization, i + 1 < cells.size() ? "," : "");
+        c.peak_resident_tenants, c.site_cap, c.speedup_vs_reference,
+        c.report.horizon_seconds, c.report.site_utilization,
+        i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -163,9 +212,10 @@ int run_column(std::uint32_t tenants, std::vector<CellResult>* cells) {
   for (const CellResult* c : {&reference, &windowed}) {
     std::printf(
         "  tenants=%-5u engine=%-9s wall=%9.1f ms  samples=%llu  "
-        "peak-live=%u\n",
+        "peak-live=%u  peak-resident=%u\n",
         tenants, engine_name(c->engine), c->wall_ms,
-        static_cast<unsigned long long>(c->samples), c->peak_live_tenants);
+        static_cast<unsigned long long>(c->samples), c->peak_live_tenants,
+        c->peak_resident_tenants);
   }
   std::printf("  speedup=%.2fx%s\n", windowed.speedup_vs_reference,
               identical ? "" : "  REPORT-DIVERGENCE");
@@ -183,7 +233,18 @@ int run_smoke() {
   std::printf("bench_scale --smoke: windowed-engine tripwire (seed root %llu)\n",
               static_cast<unsigned long long>(kSeedRoot));
   std::vector<CellResult> cells;
-  const int rc = run_column(192, &cells);
+  int rc = run_column(192, &cells);
+  // Waiting tenants hold no policy and retired ones are freed, so residency
+  // follows the tenants holding a share, not the 192 arrivals (the same
+  // site_cap + 1 bound test_ensemble holds the driver to).
+  for (const CellResult& c : cells) {
+    if (c.peak_resident_tenants > c.site_cap + 1) {
+      std::printf("    FAIL: %s loop held %u resident tenants on a %u-instance "
+                  "site\n",
+                  engine_name(c.engine), c.peak_resident_tenants, c.site_cap);
+      rc = 1;
+    }
+  }
   write_json(cells, /*smoke=*/true);
   if (rc != 0) std::printf("bench_scale --smoke FAILED\n");
   return rc;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +18,16 @@ namespace wire::ensemble {
 namespace {
 constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
 
+/// The run options of a tenant's engine and of its dedicated replay alike.
+sim::RunOptions run_options(const JobArrival& a,
+                            const EnsembleOptions& options) {
+  sim::RunOptions run;
+  run.seed = a.run_seed;
+  run.initial_instances = options.initial_instances;
+  run.max_sim_seconds = options.max_sim_seconds;
+  return run;
+}
+
 template <class T>
 void erase_slot(std::vector<T>& v, std::size_t slot) {
   v.erase(v.begin() + static_cast<std::ptrdiff_t>(slot));
@@ -27,15 +38,17 @@ struct EnsembleDriver::Tenant {
   enum class State { Waiting, Active, Done };
 
   JobArrival arrival;
-  dag::Workflow workflow;
-  std::unique_ptr<sim::ScalingPolicy> policy;
-  std::unique_ptr<sim::JobEngine> engine;
   State state = State::Waiting;
   sim::SimTime admitted_at = -1.0;
-  sim::SimTime completed_at = -1.0;
-  sim::RunResult result;
+  // Built at admission, freed at retirement. Declared so that destruction
+  // runs engine, policy, workflow: the engine references both.
+  std::optional<dag::Workflow> workflow;
+  std::unique_ptr<sim::ScalingPolicy> policy;
+  std::unique_ptr<sim::JobEngine> engine;
+  /// Filled at retirement; all the report keeps of the run.
+  JobOutcome outcome;
 
-  Tenant(JobArrival a, dag::Workflow wf) : arrival(a), workflow(std::move(wf)) {}
+  explicit Tenant(const JobArrival& a) : arrival(a) {}
 
   /// Site-clock time of the tenant's next internal event.
   sim::SimTime next_event_site_time() const {
@@ -84,7 +97,15 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
   cloud_.max_instances = 0;
 }
 
-void EnsembleDriver::admit(Tenant& tenant, sim::SimTime now) {
+void EnsembleDriver::admit(Tenant& tenant, std::uint32_t share,
+                           sim::SimTime now) {
+  const JobArrival& a = tenant.arrival;
+  tenant.workflow.emplace(
+      workload::make_workflow(profiles_[a.profile_index], a.workflow_seed));
+  tenant.policy = policy_factory_(0);
+  tenant.engine = std::make_unique<sim::JobEngine>(
+      *tenant.workflow, *tenant.policy, cloud_, run_options(a, options_));
+  tenant.engine->set_instance_cap(share);
   tenant.state = Tenant::State::Active;
   tenant.admitted_at = now;
   tenant.engine->start();
@@ -93,10 +114,42 @@ void EnsembleDriver::admit(Tenant& tenant, sim::SimTime now) {
 void EnsembleDriver::retire(std::size_t slot, sim::SimTime now) {
   Tenant& tenant = *open_[slot];
   tenant.state = Tenant::State::Done;
-  tenant.completed_at = now;
-  tenant.result = tenant.engine->result();
-  busy_slot_seconds_ += tenant.result.busy_slot_seconds;
-  allocated_instance_seconds_ += tenant.result.ready_instance_seconds;
+  const sim::RunResult result = tenant.engine->result();
+  if (&tenant == tenants_.front().get()) tenant_policy_ = result.policy_name;
+
+  JobOutcome& j = tenant.outcome;
+  j.job = tenant.arrival.job;
+  j.workflow_name = tenant.workflow->name();
+  j.arrival_seconds = tenant.arrival.arrival_seconds;
+  j.admitted_seconds = tenant.admitted_at;
+  j.completed_seconds = now;
+  j.queue_wait_seconds = tenant.admitted_at - tenant.arrival.arrival_seconds;
+  j.makespan_seconds = result.makespan;
+  if (options_.dedicated_baseline) {
+    // Replays run synchronously between engine steps, so no other policy is
+    // mid-plan() and a shared PlanScratch stays safe.
+    j.dedicated_makespan_seconds = dedicated_makespan(tenant);
+    j.slowdown = (j.queue_wait_seconds + j.makespan_seconds) /
+                 j.dedicated_makespan_seconds;
+  }
+  j.cost_units = result.cost_units;
+  j.budget_units = options_.budget_units;
+  if (j.budget_units > 0.0) {
+    j.over_budget_units = std::max(0.0, j.cost_units - j.budget_units);
+  }
+  j.peak_instances = result.peak_instances;
+  j.task_restarts = result.task_restarts;
+  j.task_faults = result.task_faults;
+  j.instance_crashes = result.instance_crashes;
+  j.quarantined_tasks =
+      static_cast<std::uint32_t>(result.quarantined_tasks.size());
+  busy_slot_seconds_ += result.busy_slot_seconds;
+  allocated_instance_seconds_ += result.ready_instance_seconds;
+
+  tenant.engine.reset();
+  tenant.policy.reset();
+  tenant.workflow.reset();
+
   live_total_ -= rows_[slot].live_instances;
   erase_slot(open_, slot);
   erase_slot(rows_, slot);
@@ -107,25 +160,15 @@ void EnsembleDriver::retire(std::size_t slot, sim::SimTime now) {
   rows_changed_ = true;
 }
 
-void EnsembleDriver::admit_arrival(const JobArrival& a) {
-  auto tenant = std::make_unique<Tenant>(
-      a, workload::make_workflow(profiles_[a.profile_index], a.workflow_seed));
-  tenant->policy = policy_factory_(0);
-  sim::RunOptions run_options;
-  run_options.seed = a.run_seed;
-  run_options.initial_instances = options_.initial_instances;
-  run_options.max_sim_seconds = options_.max_sim_seconds;
-  tenant->engine = std::make_unique<sim::JobEngine>(
-      tenant->workflow, *tenant->policy, cloud_, run_options);
-  open_.push_back(tenant.get());
+void EnsembleDriver::enqueue_arrival(const JobArrival& a) {
+  tenants_.push_back(std::make_unique<Tenant>(a));
+  open_.push_back(tenants_.back().get());
   rows_.emplace_back();
-  // The engine's own cap (none yet) never equals a share, so the first
-  // rebalance installs one.
-  shares_.push_back(tenant->engine->instance_cap());
+  // No share equals the sentinel, so the first rebalance records one.
+  shares_.push_back(sim::kNoInstanceCap);
   grants_.emplace_back();
   next_at_.push_back(kNever);
   demand_at_.push_back(kNever);
-  tenants_.push_back(std::move(tenant));
   refresh(open_.size() - 1);
   rows_changed_ = true;
 }
@@ -222,12 +265,13 @@ void EnsembleDriver::rebalance(sim::SimTime now, bool full) {
       bool admitted = false;
       if (full || shares[i] != shares_[i]) {
         shares_[i] = shares[i];
-        t.engine->set_instance_cap(shares[i]);
-        // A waiting tenant's share was 0 at every earlier pass (else it
-        // would have been admitted then), so admissions only happen where
-        // the share moved.
-        if (t.state == Tenant::State::Waiting && shares[i] >= 1) {
-          admit(t, now);
+        if (t.state == Tenant::State::Active) {
+          t.engine->set_instance_cap(shares[i]);
+        } else if (shares[i] >= 1) {
+          // A waiting tenant's share was 0 at every earlier pass (else it
+          // would have been admitted then), so admissions only happen where
+          // the share moved.
+          admit(t, shares[i], now);
           admitted = true;
         }
       }
@@ -275,11 +319,8 @@ double EnsembleDriver::dedicated_makespan(const Tenant& tenant) {
   sim::CloudConfig dedicated = cloud_;
   dedicated.max_instances = options_.site_cap;
   const std::unique_ptr<sim::ScalingPolicy> policy = policy_factory_(0);
-  sim::RunOptions run_options;
-  run_options.seed = tenant.arrival.run_seed;
-  run_options.initial_instances = options_.initial_instances;
-  run_options.max_sim_seconds = options_.max_sim_seconds;
-  return sim::simulate(tenant.workflow, *policy, dedicated, run_options)
+  return sim::simulate(*tenant.workflow, *policy, dedicated,
+                       run_options(tenant.arrival, options_))
       .makespan;
 }
 
@@ -319,7 +360,7 @@ void EnsembleDriver::run_sequential_loop() {
     }
 
     if (arrival_time <= tenant_time) {
-      admit_arrival(stream[next_arrival++]);
+      enqueue_arrival(stream[next_arrival++]);
     } else {
       sim::JobEngine& engine = *open_[next_slot]->engine;
       engine.step();
@@ -357,11 +398,11 @@ void EnsembleDriver::run_windowed_loop() {
     // byte-equivalent to processing the same events interleaved in global
     // time order.
     for (std::size_t i = 0; i < open_.size(); ++i) {
+      // A waiting tenant has no engine; its key is +inf.
+      if (next_at_[i] >= horizon || next_at_[i] > max) continue;
       const Tenant& t = *open_[i];
       sim::JobEngine& engine = *t.engine;
-      if (next_at_[i] >= horizon || next_at_[i] > max || engine.done()) {
-        continue;
-      }
+      if (engine.done()) continue;
       WIRE_CHECK(t.next_event_site_time() == next_at_[i],
                  "stale cached event key");
       while (!engine.done()) {
@@ -396,7 +437,7 @@ void EnsembleDriver::run_windowed_loop() {
     }
 
     if (arrival_time <= tenant_time) {
-      admit_arrival(stream[next_arrival++]);
+      enqueue_arrival(stream[next_arrival++]);
     } else {
       const Tenant& t = *open_[next_slot];
       sim::JobEngine& engine = *t.engine;
@@ -417,41 +458,16 @@ void EnsembleDriver::run_windowed_loop() {
 
 EnsembleReport EnsembleDriver::assemble_report() {
   EnsembleReport report;
-  report.tenant_policy = tenants_.empty()
-                             ? std::string("none")
-                             : tenants_.front()->result.policy_name;
+  report.tenant_policy = tenants_.empty() ? std::string("none") : tenant_policy_;
   report.arbiter_strategy = strategy_name(options_.strategy);
   report.site_cap = options_.site_cap;
   report.slots_per_instance = cloud_.slots_per_instance;
-
+  report.jobs.reserve(tenants_.size());
   for (const std::unique_ptr<Tenant>& t : tenants_) {
     WIRE_CHECK(t->state == Tenant::State::Done, "unfinished tenant at exit");
-    JobOutcome j;
-    j.job = t->arrival.job;
-    j.workflow_name = t->workflow.name();
-    j.arrival_seconds = t->arrival.arrival_seconds;
-    j.admitted_seconds = t->admitted_at;
-    j.completed_seconds = t->completed_at;
-    j.queue_wait_seconds = t->admitted_at - t->arrival.arrival_seconds;
-    j.makespan_seconds = t->result.makespan;
-    if (options_.dedicated_baseline) {
-      j.dedicated_makespan_seconds = dedicated_makespan(*t);
-      j.slowdown = (j.queue_wait_seconds + j.makespan_seconds) /
-                   j.dedicated_makespan_seconds;
-    }
-    j.cost_units = t->result.cost_units;
-    j.budget_units = options_.budget_units;
-    if (j.budget_units > 0.0) {
-      j.over_budget_units = std::max(0.0, j.cost_units - j.budget_units);
-    }
-    j.peak_instances = t->result.peak_instances;
-    j.task_restarts = t->result.task_restarts;
-    j.task_faults = t->result.task_faults;
-    j.instance_crashes = t->result.instance_crashes;
-    j.quarantined_tasks =
-        static_cast<std::uint32_t>(t->result.quarantined_tasks.size());
-    report.jobs.push_back(std::move(j));
+    report.jobs.push_back(std::move(t->outcome));
   }
+  tenants_.clear();
   report.finalize(busy_slot_seconds_, allocated_instance_seconds_);
   return report;
 }

@@ -7,6 +7,22 @@
 // model below); each tenant's engine enforces its share on the grow path and
 // surfaces it to the tenant's policy through MonitorSnapshot::pool_cap.
 //
+// Tenant lifecycle (both driver loops): a tenant's memory follows the jobs
+// the arbiter admitted, not the arrival stream.
+//   - Waiting: from arrival until its share first reaches 1, a tenant is its
+//     JobArrival plus its arbiter row (live 0, requested_pool =
+//     initial_instances). Its cached share starts at sim::kNoInstanceCap and
+//     no engine exists to install a cap on.
+//   - Admission: the first rebalance that grants it a share >= 1 builds the
+//     workflow (make_workflow), mints the policy, constructs the engine,
+//     installs the share and starts the engine.
+//   - Retirement: the JobOutcome is recorded from the engine's RunResult,
+//     the dedicated-baseline replay runs, and the engine, policy, workflow
+//     and RunResult are freed, in that order. Only the JobOutcome remains
+//     until run() returns.
+// Construction is per-tenant and seeded by the arrival alone, so deferring
+// it changes no event, RNG draw or share.
+//
 // Isolation contract: a tenant's policy sees only its own job — its DAG, its
 // task observations, its instances, its share as pool_cap. Nothing about
 // other tenants (not even their existence) leaks through the monitoring
@@ -54,10 +70,13 @@
 // oracle for this bookkeeping.
 //
 // Policy-state sharing: the driver runs on the calling thread and steps one
-// tenant at a time — in the main loop and in the dedicated-baseline replays
-// alike — so no two policies are ever mid-plan() at once, and every policy
-// the factory mints may share one core::PlanScratch
+// tenant at a time. A dedicated-baseline replay runs to completion inside
+// retire(), between two engine steps of the main loop, so it too plans
+// while every other policy is idle. No two policies are ever mid-plan() at
+// once, and every policy the factory mints may share one core::PlanScratch
 // (exp::sharded_policy_factory mints all WIRE controllers onto one arena).
+// At most one policy per admitted tenant plus the one replay policy is
+// alive at any moment.
 //
 // Site listener cadence: the windowed engine emits SiteSamples at site
 // events only (arrivals, demand-relevant tenant events, retirements) — the
@@ -70,6 +89,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ensemble/arbiter.h"
@@ -81,10 +101,11 @@
 
 namespace wire::ensemble {
 
-/// Policy factory: mints a fresh policy for each tenant (and for each
-/// dedicated-baseline replay). The driver always passes shard 0; the
-/// argument is kept for existing callers. Policies it mints may share
-/// scratch state, because the driver never runs two of them at once.
+/// Policy factory: mints a fresh policy for each tenant at its admission
+/// (and for each dedicated-baseline replay at its retirement). The driver
+/// always passes shard 0; the argument is kept for existing callers.
+/// Policies it mints may share scratch state, because the driver never runs
+/// two of them at once.
 using ShardedPolicyFactory =
     std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t shard)>;
 
@@ -151,7 +172,7 @@ class EnsembleDriver {
   /// `cloud` describes one site instance (its max_instances is ignored —
   /// EnsembleOptions::site_cap is the shared ceiling, and the per-tenant
   /// engines are capped by their arbiter shares instead). Policies are
-  /// minted one per tenant and one per dedicated-baseline replay.
+  /// minted one per admitted tenant and one per dedicated-baseline replay.
   EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
                  ArrivalProcess arrivals,
                  ShardedPolicyFactory sharded_policy_factory,
@@ -173,8 +194,12 @@ class EnsembleDriver {
  private:
   struct Tenant;
 
-  void admit(Tenant& tenant, sim::SimTime now);
-  /// Retires the tenant in open_[slot] and drops its slot everywhere.
+  /// Builds the waiting tenant's workflow, policy and engine, installs its
+  /// first share and starts the engine.
+  void admit(Tenant& tenant, std::uint32_t share, sim::SimTime now);
+  /// Retires the tenant in open_[slot]: records its JobOutcome (running the
+  /// dedicated replay), frees its engine, policy and workflow, and drops
+  /// its slot everywhere.
   void retire(std::size_t slot, sim::SimTime now);
   /// Allocates and installs shares (and checkpoint grants) when a row
   /// changed, then emits the SiteSample. `full` re-reads and re-installs
@@ -184,7 +209,8 @@ class EnsembleDriver {
   TenantDemand demand_row(const Tenant& tenant) const;
   /// Re-reads open_[slot]'s row and event keys after its engine moved.
   void refresh(std::size_t slot);
-  void admit_arrival(const JobArrival& a);
+  /// Appends an arrived job as a waiting tenant (no engine yet).
+  void enqueue_arrival(const JobArrival& a);
   void run_sequential_loop();
   void run_windowed_loop();
   EnsembleReport assemble_report();
@@ -196,7 +222,11 @@ class EnsembleDriver {
   sim::CloudConfig cloud_;
   EnsembleOptions options_;
   std::function<void(const SiteSample&)> site_listener_;
+  /// Every arrived tenant in arrival order; a waiting or retired one holds
+  /// no engine.
   std::vector<std::unique_ptr<Tenant>> tenants_;
+  /// The first arrival's policy name, recorded at its retirement.
+  std::string tenant_policy_;
   /// Arrived, not yet retired tenants in arrival order (FIFO, the order the
   /// arbiter's tie-breaks use). Appended at arrival, erased at retirement.
   std::vector<Tenant*> open_;

@@ -51,8 +51,9 @@ std::unique_ptr<sim::ScalingPolicy> make_policy(
 /// With `wire_options.bandit` enabled, every minted controller carries its
 /// OWN BanditSelector (per-tenant predictor selection), all seeded from the
 /// same `bandit.seed`. The seed is deliberately NOT mixed with a mint-order
-/// counter, so a job's dedicated-baseline replay (minted after the whole
-/// stream ran) starts from the same selector state as the tenant itself;
+/// counter, so a job's dedicated-baseline replay (minted at the job's
+/// retirement, in between other tenants' admissions) starts from the same
+/// selector state as the tenant itself;
 /// per-tenant selector streams still diverge deterministically because each
 /// tenant feeds its selector its own regret sequence. Selector-off
 /// (`bandit.arms == 0`) stays byte-identical to the pre-bandit factory.

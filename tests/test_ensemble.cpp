@@ -16,6 +16,7 @@
 #include "ensemble/report.h"
 #include "exp/settings.h"
 #include "policies/baselines.h"
+#include "sim/driver.h"
 #include "sim/engine.h"
 #include "util/check.h"
 #include "workload/generators.h"
@@ -456,6 +457,109 @@ TEST(EnsembleDriver, TenantSnapshotsAreIsolated) {
   EXPECT_EQ(report.jobs.size(), 4u);
   EXPECT_TRUE(violations.empty())
       << violations.size() << " violations, first: " << violations.front();
+}
+
+/// How many policies of one counting factory are alive, and the most that
+/// ever were at once.
+struct PolicyCensus {
+  std::size_t live = 0;
+  std::size_t peak = 0;
+};
+
+/// Forwards every call to the wrapped policy; counts itself in a census for
+/// as long as it lives.
+class CountedPolicy : public sim::ScalingPolicy {
+ public:
+  CountedPolicy(std::unique_ptr<sim::ScalingPolicy> inner, PolicyCensus* census)
+      : inner_(std::move(inner)), census_(census) {
+    census_->peak = std::max(census_->peak, ++census_->live);
+  }
+  ~CountedPolicy() override { --census_->live; }
+
+  std::string name() const override { return inner_->name(); }
+  void on_run_start(const dag::Workflow& workflow,
+                    const sim::CloudConfig& config) override {
+    inner_->on_run_start(workflow, config);
+  }
+  sim::PoolCommand plan(const sim::MonitorSnapshot& snapshot) override {
+    return inner_->plan(snapshot);
+  }
+
+ private:
+  std::unique_ptr<sim::ScalingPolicy> inner_;
+  PolicyCensus* census_;
+};
+
+ShardedPolicyFactory counted(ShardedPolicyFactory inner, PolicyCensus* census) {
+  return [inner = std::move(inner), census](std::uint32_t shard) {
+    return std::make_unique<CountedPolicy>(inner(shard), census);
+  };
+}
+
+TEST(EnsembleDriver, OnlyAdmittedTenantsHoldAPolicy) {
+  // 96 WIRE tenants land 50 ms apart on an 8-instance site: the whole stream
+  // is queued long before the first job finishes. A waiting tenant holds no
+  // policy and a retired one frees its own, so the live policies follow the
+  // tenants holding a share of the 8 instances, plus a retirement-time
+  // replay's — not the 96 arrivals.
+  constexpr std::uint32_t kSiteCap = 8;
+  for (const bool dedicated : {false, true}) {
+    std::vector<EnsembleReport> reports;
+    for (const std::uint32_t shards : {0u, 1u}) {
+      EnsembleOptions options;
+      options.strategy = ArbiterStrategy::DemandWeighted;
+      options.site_cap = kSiteCap;
+      options.dedicated_baseline = dedicated;
+      options.shards = shards;
+      PolicyCensus census;
+      EnsembleDriver driver(
+          small_profiles(), burst_stream(96, 0.05),
+          counted(exp::sharded_policy_factory(exp::PolicyKind::Wire), &census),
+          quiet_site(), options);
+      reports.push_back(driver.run());
+      EXPECT_EQ(reports.back().jobs.size(), 96u);
+      EXPECT_GE(census.peak, 2u) << "tenants never overlapped";
+      EXPECT_LE(census.peak, kSiteCap + 1)
+          << "shards=" << shards << " dedicated=" << dedicated;
+      EXPECT_EQ(census.live, 0u) << "a policy outlived run()";
+    }
+    EXPECT_TRUE(reports[0] == reports[1]);
+    EXPECT_EQ(reports[0].render(), reports[1].render());
+  }
+}
+
+TEST(EnsembleDriver, RetirementReplayMatchesAStandaloneRun) {
+  // WIRE tenants on one shared Plan arena under contention: each job's
+  // dedicated replay runs at its retirement, while other tenants are mid-run,
+  // and must still reproduce the job alone on the full site with a fresh
+  // policy.
+  EnsembleOptions options;
+  options.strategy = ArbiterStrategy::DemandWeighted;
+  options.site_cap = 4;
+  options.dedicated_baseline = true;
+  const ArrivalProcess stream = burst_stream(6, 60.0);
+  const std::vector<workload::WorkflowProfile> profiles = small_profiles();
+  EnsembleDriver driver(profiles, stream,
+                        exp::sharded_policy_factory(exp::PolicyKind::Wire),
+                        quiet_site(), options);
+  const EnsembleReport report = driver.run();
+  ASSERT_EQ(report.jobs.size(), stream.size());
+
+  const sim::CloudConfig dedicated = quiet_site(options.site_cap);
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    const JobArrival& a = stream.jobs()[k];
+    const dag::Workflow workflow =
+        workload::make_workflow(profiles[a.profile_index], a.workflow_seed);
+    const std::unique_ptr<sim::ScalingPolicy> policy =
+        exp::make_policy(exp::PolicyKind::Wire);
+    sim::RunOptions run_options;
+    run_options.seed = a.run_seed;
+    run_options.initial_instances = options.initial_instances;
+    const sim::RunResult alone =
+        sim::simulate(workflow, *policy, dedicated, run_options);
+    EXPECT_EQ(report.jobs[k].dedicated_makespan_seconds, alone.makespan)
+        << "job " << a.job;
+  }
 }
 
 TEST(EnsembleDriver, RejectsMalformedSetups) {
