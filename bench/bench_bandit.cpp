@@ -317,38 +317,28 @@ int check_regret_bound(const Aggregate& agg) {
   return rc;
 }
 
-void write_json(const std::vector<Workload>& workloads,
-                const std::vector<Site>& sites, const std::vector<Cell>& cells,
-                const Aggregate& agg, bool smoke) {
-  const std::string path = bench::results_dir() + "/BENCH_bandit.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("WARNING: cannot write %s\n", path.c_str());
-    return;
+/// The bandit study BENCH_bandit.json: the header after the seed root
+/// carries the arm count and the UCB1 aggregate, then one object per cell.
+bench::JsonFields json_header(const Aggregate& agg) {
+  const bench::JsonFields aggregate = {{"selector_vs_best", agg.vs_best},
+                                       {"selector_vs_worst", agg.vs_worst}};
+  return {{"seed_root", kSeedRoot}, {"arms", kArms}, {"aggregate", aggregate}};
+}
+
+std::vector<bench::JsonFields> json_cells(
+    const std::vector<Workload>& workloads, const std::vector<Site>& sites,
+    const std::vector<Cell>& cells) {
+  std::vector<bench::JsonFields> json;
+  for (const Cell& c : cells) {
+    json.push_back({{"workload", workloads[c.workload].name},
+                    {"site", sites[c.site].name},
+                    {"config", c.label},
+                    {"mean_regret_s", c.mean_regret},
+                    {"cost_mean", c.cost_units},
+                    {"makespan_mean_s", c.makespan},
+                    {"switches_mean", c.switches}});
   }
-  std::fprintf(f, "{\n  \"bench\": \"bandit\",\n  \"schema\": 1,\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"seed_root\": %llu,\n  \"arms\": %u,\n",
-               static_cast<unsigned long long>(kSeedRoot), kArms);
-  std::fprintf(f,
-               "  \"aggregate\": {\"selector_vs_best\": %.17g, "
-               "\"selector_vs_worst\": %.17g},\n",
-               agg.vs_best, agg.vs_worst);
-  std::fprintf(f, "  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"workload\": \"%s\", \"site\": \"%s\", \"config\": \"%s\", "
-        "\"mean_regret_s\": %.17g, \"cost_mean\": %.17g, "
-        "\"makespan_mean_s\": %.17g, \"switches_mean\": %.17g}%s\n",
-        workloads[c.workload].name.c_str(), sites[c.site].name.c_str(),
-        c.label.c_str(), c.mean_regret, c.cost_units, c.makespan, c.switches,
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("(bandit study written to %s)\n", path.c_str());
+  return json;
 }
 
 int run_smoke() {
@@ -364,7 +354,8 @@ int run_smoke() {
   });
   const Aggregate agg = aggregate_ucb1(cells, workloads.size(), sites.size());
   rc |= check_regret_bound(agg);
-  write_json(workloads, sites, cells, agg, /*smoke=*/true);
+  bench::write_study_json("bandit", /*smoke=*/true, json_header(agg),
+                          json_cells(workloads, sites, cells), "bandit study");
   if (rc != 0) std::printf("bench_bandit --smoke FAILED\n");
   return rc;
 }
@@ -413,7 +404,8 @@ int main(int argc, char** argv) {
   }
   const Aggregate agg = aggregate_ucb1(cells, workloads.size(), sites.size());
   rc |= check_regret_bound(agg);
-  write_json(workloads, sites, cells, agg, /*smoke=*/false);
+  bench::write_study_json("bandit", /*smoke=*/false, json_header(agg),
+                          json_cells(workloads, sites, cells), "bandit study");
   std::printf("series written to %s/bandit.csv\n",
               bench::results_dir().c_str());
   return rc;

@@ -142,34 +142,21 @@ void run_cell(const std::vector<Workload>& workloads, Cell& cell) {
   }
 }
 
-void write_json(const std::vector<Workload>& workloads,
-                const std::vector<Cell>& cells, bool smoke) {
-  const std::string path = bench::results_dir() + "/BENCH_budget.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("WARNING: cannot write %s\n", path.c_str());
-    return;
+/// The budget frontier BENCH_budget.json, one object per cell.
+std::vector<bench::JsonFields> json_cells(
+    const std::vector<Workload>& workloads, const std::vector<Cell>& cells) {
+  std::vector<bench::JsonFields> json;
+  for (const Cell& c : cells) {
+    json.push_back({{"workload", workloads[c.workload].name},
+                    {"budget_units", c.budget_units},
+                    {"deadline_s", c.deadline_s},
+                    {"cost_mean", c.stats.cost_units.mean()},
+                    {"makespan_mean_s", c.stats.makespan_seconds.mean()},
+                    {"slo_met", static_cast<double>(c.met) / kReps},
+                    {"over_budget_mean", c.over_budget_mean},
+                    {"peak_mean", c.stats.peak_instances.mean()}});
   }
-  std::fprintf(f, "{\n  \"bench\": \"budget\",\n  \"schema\": 1,\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"seed_root\": %llu,\n  \"cells\": [\n",
-               static_cast<unsigned long long>(kSeedRoot));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"workload\": \"%s\", \"budget_units\": %.17g, "
-        "\"deadline_s\": %.17g, \"cost_mean\": %.17g, "
-        "\"makespan_mean_s\": %.17g, \"slo_met\": %.17g, "
-        "\"over_budget_mean\": %.17g, \"peak_mean\": %.17g}%s\n",
-        workloads[c.workload].name.c_str(), c.budget_units, c.deadline_s,
-        c.stats.cost_units.mean(), c.stats.makespan_seconds.mean(),
-        static_cast<double>(c.met) / kReps, c.over_budget_mean,
-        c.stats.peak_instances.mean(), i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("(budget frontier written to %s)\n", path.c_str());
+  return json;
 }
 
 /// The budget-off identity contract, checked run-for-run: returns nonzero
@@ -234,7 +221,9 @@ int run_smoke() {
   int rc = check_budget_off_identity(workloads);
   std::vector<Cell> cells;
   rc |= check_monotone_frontier(workloads, &cells);
-  write_json(workloads, cells, /*smoke=*/true);
+  bench::write_study_json("budget", /*smoke=*/true,
+                          {{"seed_root", kSeedRoot}},
+                          json_cells(workloads, cells), "budget frontier");
   if (rc != 0) std::printf("bench_budget --smoke FAILED\n");
   return rc;
 }
@@ -307,7 +296,9 @@ int main(int argc, char** argv) {
                 workloads[w].name.c_str(), workloads[w].probe_cost,
                 workloads[w].probe_makespan, table.render().c_str());
   }
-  write_json(workloads, cells, /*smoke=*/false);
+  bench::write_study_json("budget", /*smoke=*/false,
+                          {{"seed_root", kSeedRoot}},
+                          json_cells(workloads, cells), "budget frontier");
   std::printf("series written to %s/budget.csv\n",
               bench::results_dir().c_str());
   return rc;

@@ -133,52 +133,25 @@ void run_into(const dag::Workflow& wf, const sim::CloudConfig& config,
   cell->ckpts_lost.add(static_cast<double>(r.checkpoints_lost));
 }
 
-struct JsonCell {
-  const char* study;
-  const char* policy;
-  double crash_rate;
-  double static_interval_s;  // 0 when not a static arm
-  std::uint32_t reps;
-  const Cell* cell;
-};
-
-void write_json(const std::vector<JsonCell>& cells, bool smoke,
-                bool golden_identity) {
-  const std::string path = bench::results_dir() + "/BENCH_checkpoint.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("WARNING: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"checkpoint\",\n  \"schema\": 1,\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  if (smoke) {
-    std::fprintf(f, "  \"golden_identity\": %s,\n",
-                 golden_identity ? "true" : "false");
-  }
-  std::fprintf(f, "  \"seed_root\": %llu,\n  \"cells\": [\n",
-               static_cast<unsigned long long>(kSeedRoot));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const JsonCell& jc = cells[i];
-    const Cell& c = *jc.cell;
-    std::fprintf(
-        f,
-        "    {\"study\": \"%s\", \"policy\": \"%s\", "
-        "\"crash_rate_per_hour\": %.17g, \"static_interval_s\": %.17g, "
-        "\"reps\": %u, \"makespan_mean_s\": %.17g, \"cost_mean_units\": "
-        "%.17g, \"restarts_mean\": %.17g, \"crashes_mean\": %.17g, "
-        "\"lost_work_s_mean\": %.17g, \"ckpt_io_s_mean\": %.17g, "
-        "\"waste_s_mean\": %.17g, \"ckpts_completed_mean\": %.17g, "
-        "\"ckpts_lost_mean\": %.17g}%s\n",
-        jc.study, jc.policy, jc.crash_rate, jc.static_interval_s, jc.reps,
-        c.makespan.mean(), c.cost.mean(), c.restarts.mean(), c.crashes.mean(),
-        c.lost_work_s.mean(), c.ckpt_io_s.mean(), c.waste_s.mean(),
-        c.ckpts_completed.mean(), c.ckpts_lost.mean(),
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("(perf-trajectory series written to %s)\n", path.c_str());
+/// One cell of the perf series BENCH_checkpoint.json. `static_interval_s`
+/// is 0 when the arm is not static.
+bench::JsonFields json_cell(const char* study, const char* policy,
+                            double crash_rate, double static_interval_s,
+                            std::uint32_t reps, const Cell& c) {
+  return {{"study", study},
+          {"policy", policy},
+          {"crash_rate_per_hour", crash_rate},
+          {"static_interval_s", static_interval_s},
+          {"reps", reps},
+          {"makespan_mean_s", c.makespan.mean()},
+          {"cost_mean_units", c.cost.mean()},
+          {"restarts_mean", c.restarts.mean()},
+          {"crashes_mean", c.crashes.mean()},
+          {"lost_work_s_mean", c.lost_work_s.mean()},
+          {"ckpt_io_s_mean", c.ckpt_io_s.mean()},
+          {"waste_s_mean", c.waste_s.mean()},
+          {"ckpts_completed_mean", c.ckpts_completed.mean()},
+          {"ckpts_lost_mean", c.ckpts_lost.mean()}};
 }
 
 // --- smoke: golden byte-identity -------------------------------------------
@@ -331,11 +304,12 @@ int run_smoke() {
     rc = 1;
   }
 
-  const std::vector<JsonCell> json = {
-      JsonCell{"smoke", arm_label(Arm::YoungDaly), 2.0, 0.0, 3, &yd},
-      JsonCell{"smoke", arm_label(Arm::Static), 2.0, 600.0, 3, &st},
-  };
-  write_json(json, /*smoke=*/true, identity);
+  bench::write_study_json(
+      "checkpoint", /*smoke=*/true,
+      {{"golden_identity", identity}, {"seed_root", kSeedRoot}},
+      {json_cell("smoke", arm_label(Arm::YoungDaly), 2.0, 0.0, 3u, yd),
+       json_cell("smoke", arm_label(Arm::Static), 2.0, 600.0, 3u, st)},
+      "perf-trajectory series");
   if (rc != 0) std::printf("bench_checkpoint --smoke FAILED\n");
   return rc;
 }
@@ -398,7 +372,7 @@ int main(int argc, char** argv) {
                  "cost_mean_units", "restarts_mean", "crashes_mean",
                  "lost_work_s_mean", "ckpt_io_s_mean", "waste_s_mean",
                  "ckpts_completed_mean", "ckpts_lost_mean"});
-  std::vector<JsonCell> json;
+  std::vector<bench::JsonFields> json;
   json.reserve(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const Job& job = jobs[j];
@@ -414,9 +388,9 @@ int main(int argc, char** argv) {
          util::fmt(cell.waste_s.mean(), 1),
          util::fmt(cell.ckpts_completed.mean(), 2),
          util::fmt(cell.ckpts_lost.mean(), 2)});
-    json.push_back(JsonCell{job.study, arm_label(job.arm), job.crash_rate,
-                            job.arm == Arm::Static ? job.interval : 0.0,
-                            kReps, &cell});
+    json.push_back(json_cell(job.study, arm_label(job.arm), job.crash_rate,
+                             job.arm == Arm::Static ? job.interval : 0.0,
+                             kReps, cell));
   }
 
   util::TextTable table;
@@ -454,6 +428,8 @@ int main(int argc, char** argv) {
               sweep.render().c_str());
   std::printf("series written to %s/checkpoint.csv\n",
               bench::results_dir().c_str());
-  write_json(json, /*smoke=*/false, /*golden_identity=*/false);
+  bench::write_study_json("checkpoint", /*smoke=*/false,
+                          {{"seed_root", kSeedRoot}}, json,
+                          "perf-trajectory series");
   return 0;
 }

@@ -1,11 +1,16 @@
-// Shared helpers for the bench harnesses: output directory handling and the
+// Shared helpers for the bench harnesses: output directory handling, the
 // idealized §III-E/§IV-A cloud (1 slot per instance, no variability, control
-// lag small relative to task length and charging unit).
+// lag small relative to task length and charging unit), and the one writer
+// behind every study bench's BENCH_<name>.json.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/config.h"
 
@@ -34,6 +39,75 @@ inline sim::CloudConfig idealized_cloud(double task_seconds,
   config.variability.transfer_latency_seconds = 0.0;
   config.variability.bandwidth_mb_per_s = 1e12;
   return config;
+}
+
+class JsonValue;
+/// An ordered (key, value) list: a study header or one cell.
+using JsonFields = std::vector<std::pair<std::string, JsonValue>>;
+
+/// One value of a study record, formatted at construction: strings quoted,
+/// doubles as %.17g (round-trips exactly), unsigned integers in decimal,
+/// bools as true/false, and a field list as a one-line object. Signed
+/// integers have no overload, so a bare literal must name its type.
+class JsonValue {
+ public:
+  JsonValue(const char* s) : text_('"' + std::string(s) + '"') {}
+  JsonValue(const std::string& s) : text_('"' + s + '"') {}
+  JsonValue(double v) : text_(format("%.17g", v)) {}
+  JsonValue(std::uint32_t v) : text_(format("%u", v)) {}
+  JsonValue(std::uint64_t v)
+      : text_(format("%llu", static_cast<unsigned long long>(v))) {}
+  JsonValue(bool v) : text_(v ? "true" : "false") {}
+  JsonValue(const JsonFields& object);
+
+  const std::string& text() const { return text_; }
+
+ private:
+  template <typename T>
+  static std::string format(const char* spec, T v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), spec, v);
+    return buf;
+  }
+
+  std::string text_;
+};
+
+inline JsonValue::JsonValue(const JsonFields& object) : text_("{") {
+  for (std::size_t i = 0; i < object.size(); ++i) {
+    if (i > 0) text_ += ", ";
+    text_ += '"' + object[i].first + "\": " + object[i].second.text();
+  }
+  text_ += '}';
+}
+
+/// Writes bench_results/BENCH_<bench>.json, the envelope every study bench
+/// shares: bench, schema, mode, then `header` in order, then one `cells`
+/// object per line. Prints "(<what> written to <path>)" on success.
+inline void write_study_json(const std::string& bench, bool smoke,
+                             const JsonFields& header,
+                             const std::vector<JsonFields>& cells,
+                             const char* what) {
+  const std::string path = results_dir() + "/BENCH_" + bench + ".json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::printf("WARNING: cannot write %s\n", path.c_str());
+    return;
+  }
+  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"schema\": 1,\n",
+               bench.c_str());
+  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
+  for (const auto& [key, value] : header) {
+    std::fprintf(f, "  \"%s\": %s,\n", key.c_str(), value.text().c_str());
+  }
+  std::fprintf(f, "  \"cells\": [\n");
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    std::fprintf(f, "    %s%s\n", JsonValue(cells[i]).text().c_str(),
+                 i + 1 < cells.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("(%s written to %s)\n", what, path.c_str());
 }
 
 }  // namespace wire::bench

@@ -121,49 +121,25 @@ double wastage_ratio(const Cell& cell) {
              : 0.0;
 }
 
-struct JsonCell {
-  std::string workflow;
-  const char* sizing;
-  double factor;
-  double instance_mem_mb;
-  std::uint32_t reps;
-  const Cell* cell;
-};
-
-/// The perf-trajectory series: one JSON object per cell, full-precision
-/// means, written next to the CSV so CI can archive and diff it across
-/// commits.
-void write_json(const std::vector<JsonCell>& cells, bool smoke) {
-  const std::string path = bench::results_dir() + "/BENCH_memory.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("WARNING: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"memory\",\n  \"schema\": 1,\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"seed_root\": %llu,\n  \"cells\": [\n",
-               static_cast<unsigned long long>(kSeedRoot));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const JsonCell& jc = cells[i];
-    const Cell& c = *jc.cell;
-    std::fprintf(
-        f,
-        "    {\"workflow\": \"%s\", \"sizing\": \"%s\", "
-        "\"provisioning_factor\": %.17g, \"instance_mem_mb\": %.17g, "
-        "\"reps\": %u, \"makespan_mean_s\": %.17g, \"cost_mean_units\": "
-        "%.17g, \"oom_kills_mean\": %.17g, \"reserved_mb_s_mean\": %.17g, "
-        "\"used_mb_s_mean\": %.17g, \"wastage_ratio\": %.17g, "
-        "\"quarantined_mean\": %.17g, \"incomplete_runs\": %u}%s\n",
-        jc.workflow.c_str(), jc.sizing, jc.factor, jc.instance_mem_mb,
-        jc.reps, c.makespan.mean(), c.cost.mean(), c.oom_kills.mean(),
-        c.reserved_mb_s.mean(), c.used_mb_s.mean(), wastage_ratio(c),
-        c.quarantined.mean(), c.incomplete_runs,
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("(perf-trajectory series written to %s)\n", path.c_str());
+/// One cell of the perf-trajectory series BENCH_memory.json (written next
+/// to the CSV so CI can archive and diff it across commits): full-precision
+/// means of one sweep cell.
+bench::JsonFields json_cell(const std::string& workflow, const char* sizing,
+                            double factor, double instance_mem_mb,
+                            std::uint32_t reps, const Cell& c) {
+  return {{"workflow", workflow},
+          {"sizing", sizing},
+          {"provisioning_factor", factor},
+          {"instance_mem_mb", instance_mem_mb},
+          {"reps", reps},
+          {"makespan_mean_s", c.makespan.mean()},
+          {"cost_mean_units", c.cost.mean()},
+          {"oom_kills_mean", c.oom_kills.mean()},
+          {"reserved_mb_s_mean", c.reserved_mb_s.mean()},
+          {"used_mb_s_mean", c.used_mb_s.mean()},
+          {"wastage_ratio", wastage_ratio(c)},
+          {"quarantined_mean", c.quarantined.mean()},
+          {"incomplete_runs", c.incomplete_runs}};
 }
 
 int run_smoke() {
@@ -175,9 +151,8 @@ int run_smoke() {
   const dag::Workflow wf = workload::make_workflow(profile, 7);
   const double need = per_slot_need_mb(profile);
   int rc = 0;
-  std::vector<Cell> cells;
-  cells.reserve(4);
-  std::vector<JsonCell> json;
+  std::vector<bench::JsonFields> json;
+  double tight_ooms = 0.0;
   std::size_t idx = 0;
   for (sim::MemoryConfig::Sizing sizing :
        {sim::MemoryConfig::Sizing::Percentile,
@@ -190,8 +165,7 @@ int run_smoke() {
     for (double factor : {2.0, 0.75}) {
       const std::uint64_t seed = util::derive_seed(
           kSeedRoot, 9000 + idx);
-      cells.emplace_back();
-      Cell& cell = cells.back();
+      Cell cell;
       const bool complete = run_cell(wf, factor, need, sizing, seed, &cell);
       const bool wastage_ok =
           cell.reserved_mb_s.mean() >= cell.used_mb_s.mean() &&
@@ -209,16 +183,13 @@ int run_smoke() {
         std::printf("    FAIL: ample capacity stranded work\n");
         rc = 1;
       }
-      json.push_back(JsonCell{profile.name, sizing_label(sizing), factor,
-                              memory_cloud(factor, need, sizing)
-                                  .memory.instance_mem_mb,
-                              1, &cell});
+      json.push_back(json_cell(
+          profile.name, sizing_label(sizing), factor,
+          memory_cloud(factor, need, sizing).memory.instance_mem_mb, 1u,
+          cell));
+      if (factor < 1.0) tight_ooms += cell.oom_kills.mean();
       ++idx;
     }
-  }
-  double tight_ooms = 0.0;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    if (json[i].factor < 1.0) tight_ooms += cells[i].oom_kills.mean();
   }
   if (tight_ooms == 0.0) {
     std::printf(
@@ -226,7 +197,9 @@ int run_smoke() {
         "path\n");
     rc = 1;
   }
-  write_json(json, /*smoke=*/true);
+  bench::write_study_json("memory", /*smoke=*/true,
+                          {{"seed_root", kSeedRoot}}, json,
+                          "perf-trajectory series");
   if (rc != 0) std::printf("bench_memory --smoke FAILED\n");
   return rc;
 }
@@ -286,7 +259,7 @@ int main(int argc, char** argv) {
                  "makespan_stddev_s", "cost_mean_units", "oom_kills_mean",
                  "reserved_mb_s_mean", "used_mb_s_mean", "wastage_ratio",
                  "quarantined_mean", "incomplete_runs"});
-  std::vector<JsonCell> json;
+  std::vector<bench::JsonFields> json;
   json.reserve(jobs.size());
   for (std::size_t w = 0; w < profiles.size(); ++w) {
     const double need = per_slot_need_mb(profiles[w]);
@@ -321,8 +294,8 @@ int main(int argc, char** argv) {
                        util::fmt(wastage_ratio(cell), 4),
                        util::fmt(cell.quarantined.mean(), 2),
                        std::to_string(cell.incomplete_runs)});
-        json.push_back(JsonCell{profiles[w].name, sizing_label(sizings[s]),
-                                factors[f], mem_mb, kReps, &cells[j]});
+        json.push_back(json_cell(profiles[w].name, sizing_label(sizings[s]),
+                                 factors[f], mem_mb, kReps, cell));
       }
       table.add_row(std::move(row));
     }
@@ -332,6 +305,8 @@ int main(int argc, char** argv) {
   std::printf("(cells: OOM kills / reserved:used wastage; series written to "
               "%s/memory.csv)\n",
               bench::results_dir().c_str());
-  write_json(json, /*smoke=*/false);
+  bench::write_study_json("memory", /*smoke=*/false,
+                          {{"seed_root", kSeedRoot}}, json,
+                          "perf-trajectory series");
   return 0;
 }

@@ -166,37 +166,24 @@ CellResult run_cell(std::uint32_t tenants, Engine engine) {
   return result;
 }
 
-/// The recorded scale trajectory: one JSON object per cell, written to
-/// bench_results/ so CI can archive and diff it across commits.
-void write_json(const std::vector<CellResult>& cells, bool smoke) {
-  const std::string path = bench::results_dir() + "/BENCH_scale.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("WARNING: cannot write %s\n", path.c_str());
-    return;
+/// The cells of the recorded scale trajectory BENCH_scale.json, which CI
+/// archives and diffs across commits.
+std::vector<bench::JsonFields> json_cells(
+    const std::vector<CellResult>& cells) {
+  std::vector<bench::JsonFields> json;
+  for (const CellResult& c : cells) {
+    json.push_back({{"tenants", c.tenants},
+                    {"engine", engine_name(c.engine)},
+                    {"wall_ms", c.wall_ms},
+                    {"samples", c.samples},
+                    {"peak_live_tenants", c.peak_live_tenants},
+                    {"peak_resident_tenants", c.peak_resident_tenants},
+                    {"site_cap", c.site_cap},
+                    {"speedup_vs_reference", c.speedup_vs_reference},
+                    {"horizon_s", c.report.horizon_seconds},
+                    {"site_utilization", c.report.site_utilization}});
   }
-  std::fprintf(f, "{\n  \"bench\": \"scale\",\n  \"schema\": 1,\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"seed_root\": %llu,\n  \"cells\": [\n",
-               static_cast<unsigned long long>(kSeedRoot));
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"tenants\": %u, \"engine\": \"%s\", \"wall_ms\": %.17g, "
-        "\"samples\": %llu, \"peak_live_tenants\": %u, "
-        "\"peak_resident_tenants\": %u, \"site_cap\": %u, "
-        "\"speedup_vs_reference\": %.17g, \"horizon_s\": %.17g, "
-        "\"site_utilization\": %.17g}%s\n",
-        c.tenants, engine_name(c.engine), c.wall_ms,
-        static_cast<unsigned long long>(c.samples), c.peak_live_tenants,
-        c.peak_resident_tenants, c.site_cap, c.speedup_vs_reference,
-        c.report.horizon_seconds, c.report.site_utilization,
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("(scale trajectory written to %s)\n", path.c_str());
+  return json;
 }
 
 /// Runs one tenant-count column: the reference loop, then the windowed
@@ -245,7 +232,8 @@ int run_smoke() {
       rc = 1;
     }
   }
-  write_json(cells, /*smoke=*/true);
+  bench::write_study_json("scale", /*smoke=*/true, {{"seed_root", kSeedRoot}},
+                          json_cells(cells), "scale trajectory");
   if (rc != 0) std::printf("bench_scale --smoke FAILED\n");
   return rc;
 }
@@ -278,6 +266,7 @@ int main(int argc, char** argv) {
                 peak);
     rc = 1;
   }
-  write_json(cells, /*smoke=*/false);
+  bench::write_study_json("scale", /*smoke=*/false, {{"seed_root", kSeedRoot}},
+                          json_cells(cells), "scale trajectory");
   return rc;
 }

@@ -13,7 +13,6 @@ LookaheadResult simulate_interval(const dag::Workflow& workflow,
                                   PlanScratch* scratch,
                                   const predict::MemoryPredictor* memory) {
   using dag::TaskId;
-  using sim::TaskPhase;
 
   // Incomplete-predecessor counters: copied from the incrementally
   // maintained RunState when available, else seeded from the snapshot.
@@ -21,14 +20,7 @@ LookaheadResult simulate_interval(const dag::Workflow& workflow,
   if (state != nullptr && state->ready()) {
     remaining_preds = state->remaining_preds();
   } else {
-    remaining_preds.assign(workflow.task_count(), 0);
-    for (const dag::TaskSpec& t : workflow.tasks()) {
-      for (TaskId pred : workflow.predecessors(t.id)) {
-        if (snapshot.tasks[pred].phase != TaskPhase::Completed) {
-          ++remaining_preds[t.id];
-        }
-      }
-    }
+    count_incomplete_preds(workflow, snapshot, remaining_preds);
   }
 
   PlanScratch local_scratch;

@@ -68,10 +68,8 @@ AnalyzePath IncrementalLookahead::classify(
   if (refits > options_.refit_fallback_stages) return AnalyzePath::kRefitDrift;
   // `saw_misprediction` is the single wavefront-vs-delta pass in tick() —
   // classification no longer re-scans delta.completed on every quiet tick.
-  if (options_.fallback_on_misprediction && saw_misprediction) {
-    return AnalyzePath::kMisprediction;
-  }
-  return AnalyzePath::kIncremental;
+  return saw_misprediction ? AnalyzePath::kMisprediction
+                           : AnalyzePath::kIncremental;
 }
 
 double IncrementalLookahead::memo_exec(const dag::Workflow& workflow,
@@ -149,17 +147,11 @@ const LookaheadResult& IncrementalLookahead::tick(
     const predict::MemoryPredictor* memory) {
   ++stats_.ticks;
 
-  // Wavefront stamps exist solely for the misprediction fallback and its
-  // accuracy stats; with that lever off, skip their whole lifecycle —
-  // capture push_backs inside the projection, the delta scan here, and the
-  // stamp writes below (see LookaheadCacheStats for the stats contract).
-  const bool track_wavefront = options_.fallback_on_misprediction;
-
   // The single wavefront-vs-delta pass: projection-accuracy accounting and
   // the misprediction signal classification consumes (the classifier used to
   // re-scan delta.completed itself — one pass now serves both).
   bool saw_misprediction = false;
-  if (track_wavefront && primed_ && snapshot.delta.exact) {
+  if (primed_ && snapshot.delta.exact) {
     for (TaskId t : snapshot.delta.completed) {
       if (projected_complete_stamp_[t] == epoch_) {
         ++stats_.matched_completions;
@@ -201,7 +193,7 @@ const LookaheadResult& IncrementalLookahead::tick(
 
   // Predecessor counters: borrow the RunState's vector with an undo log
   // (O(projected firings) restore) when it is current, else seed a local
-  // copy exactly the way simulate_interval does.
+  // copy with the same count_incomplete_preds simulate_interval uses.
   PlanScratch& scratch = *scratch_;
   scratch.undo.clear();
   std::vector<std::uint32_t>* preds = nullptr;
@@ -210,24 +202,15 @@ const LookaheadResult& IncrementalLookahead::tick(
     preds = &state->speculative_preds();
     undo_log = &scratch.undo;
   } else {
-    scratch.local_preds.assign(workflow.task_count(), 0);
-    for (const dag::TaskSpec& t : workflow.tasks()) {
-      for (TaskId pred : workflow.predecessors(t.id)) {
-        if (snapshot.tasks[pred].phase != TaskPhase::Completed) {
-          ++scratch.local_preds[t.id];
-        }
-      }
-    }
+    count_incomplete_preds(workflow, snapshot, scratch.local_preds);
     preds = &scratch.local_preds;
   }
 
   scratch.projected_complete.clear();
   scratch.projected_running.clear();
   detail::WavefrontCapture capture;
-  if (track_wavefront) {
-    capture.projected_complete = &scratch.projected_complete;
-    capture.projected_running = &scratch.projected_running;
-  }
+  capture.projected_complete = &scratch.projected_complete;
+  capture.projected_running = &scratch.projected_running;
 
   detail::EmissionCap cap;
   if (options_.adaptive_horizon &&
@@ -305,13 +288,11 @@ const LookaheadResult& IncrementalLookahead::tick(
   }
 
   ++epoch_;
-  if (track_wavefront) {
-    for (TaskId t : scratch.projected_complete) {
-      projected_complete_stamp_[t] = epoch_;
-    }
-    for (TaskId t : scratch.projected_running) {
-      projected_running_stamp_[t] = epoch_;
-    }
+  for (TaskId t : scratch.projected_complete) {
+    projected_complete_stamp_[t] = epoch_;
+  }
+  for (TaskId t : scratch.projected_running) {
+    projected_running_stamp_[t] = epoch_;
   }
   primed_ = true;
   last_revision_ = estimator.revision();

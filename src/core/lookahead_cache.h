@@ -82,15 +82,7 @@ struct LookaheadCacheOptions {
   /// memo is mostly invalid and revalidating it per task costs more than the
   /// direct calls it saves.
   std::uint32_t refit_fallback_stages = 8;
-  /// Fall back when a completion beat the previous projection (see
-  /// kMisprediction). Conservative-minimum predictions make the projected
-  /// completion set a superset of the actual one in the common case, so this
-  /// stays cheap to leave on. Off also disables wavefront-stamp maintenance
-  /// entirely — capture, delta scans and stamp writes — since nothing reads
-  /// the stamps then; the projection-accuracy stats counters stay 0 (see
-  /// LookaheadCacheStats).
-  bool fallback_on_misprediction = true;
-  /// Second, independently ablatable lever: adaptive horizon capping. Stops
+  /// Independently ablatable lever: adaptive horizon capping. Stops
   /// emitting queue-tail entries once Algorithm 3's pool size provably
   /// saturates the binding instance ceiling (see detail::EmissionCap for the
   /// bound). Steering decisions are unchanged; the unclamped demand signal
@@ -120,12 +112,9 @@ struct LookaheadCacheStats {
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
   /// Delta completions that matched / beat the previous projection, and
-  /// newly Running tasks the previous projection never put on a slot.
-  /// Maintained only while `fallback_on_misprediction` is on: with it off
-  /// the wavefront stamps these compare against are not captured at all
-  /// (the per-tick capture push_backs, the delta scans and the stamp writes
-  /// are skipped wholesale — the classification never reads them), so all
-  /// three counters stay 0.
+  /// newly Running tasks the previous projection never put on a slot
+  /// (counted against the wavefront stamps on every primed, exact-delta
+  /// tick, the same pass that raises kMisprediction).
   std::uint64_t matched_completions = 0;
   std::uint64_t mispredicted_completions = 0;
   std::uint64_t drifted_dispatches = 0;

@@ -6,6 +6,19 @@ namespace wire::core {
 
 using dag::TaskId;
 
+void count_incomplete_preds(const dag::Workflow& workflow,
+                            const sim::MonitorSnapshot& snapshot,
+                            std::vector<std::uint32_t>& remaining_preds) {
+  remaining_preds.assign(workflow.task_count(), 0);
+  for (const dag::TaskSpec& t : workflow.tasks()) {
+    for (TaskId pred : workflow.predecessors(t.id)) {
+      if (snapshot.tasks[pred].phase != sim::TaskPhase::Completed) {
+        ++remaining_preds[t.id];
+      }
+    }
+  }
+}
+
 void RunState::update(const dag::Workflow& workflow,
                       const sim::MonitorSnapshot& snapshot) {
   if (!synced_ || !snapshot.delta.exact) {
@@ -20,16 +33,11 @@ void RunState::rebuild(const dag::Workflow& workflow,
                        const sim::MonitorSnapshot& snapshot) {
   WIRE_REQUIRE(snapshot.tasks.size() == workflow.task_count(),
                "snapshot does not match the workflow");
-  remaining_preds_.assign(workflow.task_count(), 0);
+  count_incomplete_preds(workflow, snapshot, remaining_preds_);
   completed_.assign(workflow.task_count(), 0);
   for (const dag::TaskSpec& t : workflow.tasks()) {
     if (snapshot.tasks[t.id].phase == sim::TaskPhase::Completed) {
       completed_[t.id] = 1;
-    }
-    for (TaskId pred : workflow.predecessors(t.id)) {
-      if (snapshot.tasks[pred].phase != sim::TaskPhase::Completed) {
-        ++remaining_preds_[t.id];
-      }
     }
   }
 }

@@ -22,6 +22,13 @@
 
 namespace wire::core {
 
+/// The from-scratch derivation: sets `remaining_preds[t]` to the number of
+/// t's predecessors whose snapshot phase is not Completed. Assigns in place,
+/// so a reused vector keeps its capacity. O(V + E).
+void count_incomplete_preds(const dag::Workflow& workflow,
+                            const sim::MonitorSnapshot& snapshot,
+                            std::vector<std::uint32_t>& remaining_preds);
+
 class RunState {
  public:
   /// Detaches from any previous run; the next update() rebuilds from its

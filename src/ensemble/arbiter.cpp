@@ -114,29 +114,38 @@ void static_fair_share(std::uint32_t site_cap, std::uint32_t spare,
   }
 }
 
+/// The tenant's effective requested pool: the controller's ask, lifted by
+/// the memory footprint when a per-instance capacity is configured, clamped
+/// to the site. Shared by the demand- and budget-weighted strategies so the
+/// two bid on the same demand signal.
+std::uint32_t effective_requested(const TenantDemand& tenant,
+                                  std::uint32_t site_cap,
+                                  double instance_mem_mb) {
+  std::uint32_t requested = tenant.requested_pool;
+  if (instance_mem_mb > 0.0 && tenant.requested_mem_mb > 0.0) {
+    const double needed = std::ceil(tenant.requested_mem_mb / instance_mem_mb);
+    if (needed > static_cast<double>(requested)) {
+      requested = needed >= static_cast<double>(site_cap)
+                      ? site_cap
+                      : static_cast<std::uint32_t>(needed);
+    }
+  }
+  return std::min(requested, site_cap);
+}
+
 void demand_weighted(std::uint32_t site_cap, double instance_mem_mb,
                      std::uint32_t spare,
                      const std::vector<TenantDemand>& tenants,
                      const std::vector<std::size_t>& order,
                      std::vector<std::uint32_t>& shares) {
-  // Unmet demand: how far each tenant's requested pool sits above its floor.
-  // With a per-instance memory capacity configured, a tenant's projected
-  // footprint lifts its bid to the instance count needed to hold it.
+  // Unmet demand: how far each tenant's effective requested pool sits above
+  // its floor.
   std::vector<std::uint32_t> extra(tenants.size(), 0);
   std::uint64_t total_extra = 0;
   for (std::size_t i = 0; i < tenants.size(); ++i) {
-    std::uint32_t requested = tenants[i].requested_pool;
-    if (instance_mem_mb > 0.0 && tenants[i].requested_mem_mb > 0.0) {
-      const double needed =
-          std::ceil(tenants[i].requested_mem_mb / instance_mem_mb);
-      if (needed > static_cast<double>(requested)) {
-        requested = needed >= static_cast<double>(site_cap)
-                        ? site_cap
-                        : static_cast<std::uint32_t>(needed);
-      }
-    }
-    const std::uint32_t want = std::max(tenants[i].live_instances,
-                                        std::min(requested, site_cap));
+    const std::uint32_t want =
+        std::max(tenants[i].live_instances,
+                 effective_requested(tenants[i], site_cap, instance_mem_mb));
     extra[i] = want - tenants[i].live_instances;
     total_extra += extra[i];
   }
@@ -172,25 +181,6 @@ void demand_weighted(std::uint32_t site_cap, double instance_mem_mb,
     granted += last_grant;
   }
   grant_largest_remainders(spare - granted, order, remainder, shares);
-}
-
-/// The tenant's effective requested pool: the controller's ask, lifted by
-/// the memory footprint when a per-instance capacity is configured, clamped
-/// to the site. Shared by the demand- and budget-weighted strategies so the
-/// two bid on the same demand signal.
-std::uint32_t effective_requested(const TenantDemand& tenant,
-                                  std::uint32_t site_cap,
-                                  double instance_mem_mb) {
-  std::uint32_t requested = tenant.requested_pool;
-  if (instance_mem_mb > 0.0 && tenant.requested_mem_mb > 0.0) {
-    const double needed = std::ceil(tenant.requested_mem_mb / instance_mem_mb);
-    if (needed > static_cast<double>(requested)) {
-      requested = needed >= static_cast<double>(site_cap)
-                      ? site_cap
-                      : static_cast<std::uint32_t>(needed);
-    }
-  }
-  return std::min(requested, site_cap);
 }
 
 void budget_weighted(std::uint32_t site_cap, double instance_mem_mb,

@@ -87,6 +87,9 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
                "budget must be finite and non-negative");
   WIRE_REQUIRE(options_.shards <= 1,
                "shards is 0 (reference loop) or 1 (windowed engine)");
+  // Engines are built only at admission; reject a checkpoint config that
+  // would hang them before the run starts.
+  cloud_.checkpoint.validate();
   for (const JobArrival& a : arrivals_.jobs()) {
     WIRE_REQUIRE(a.profile_index < profiles_.size(),
                  "arrival references an unknown profile");

@@ -103,42 +103,4 @@ std::string EnsembleReport::render() const {
   return out.str();
 }
 
-bool operator==(const JobOutcome& a, const JobOutcome& b) {
-  return a.job == b.job && a.workflow_name == b.workflow_name &&
-         a.arrival_seconds == b.arrival_seconds &&
-         a.admitted_seconds == b.admitted_seconds &&
-         a.completed_seconds == b.completed_seconds &&
-         a.queue_wait_seconds == b.queue_wait_seconds &&
-         a.makespan_seconds == b.makespan_seconds &&
-         a.dedicated_makespan_seconds == b.dedicated_makespan_seconds &&
-         a.slowdown == b.slowdown && a.cost_units == b.cost_units &&
-         a.budget_units == b.budget_units &&
-         a.over_budget_units == b.over_budget_units &&
-         a.peak_instances == b.peak_instances &&
-         a.task_restarts == b.task_restarts &&
-         a.task_faults == b.task_faults &&
-         a.instance_crashes == b.instance_crashes &&
-         a.quarantined_tasks == b.quarantined_tasks;
-}
-
-bool operator==(const EnsembleReport& a, const EnsembleReport& b) {
-  return a.tenant_policy == b.tenant_policy &&
-         a.arbiter_strategy == b.arbiter_strategy &&
-         a.site_cap == b.site_cap &&
-         a.slots_per_instance == b.slots_per_instance && a.jobs == b.jobs &&
-         a.horizon_seconds == b.horizon_seconds &&
-         a.total_cost_units == b.total_cost_units &&
-         a.site_utilization == b.site_utilization &&
-         a.allocation_ratio == b.allocation_ratio &&
-         a.throughput_jobs_per_hour == b.throughput_jobs_per_hour &&
-         a.mean_queue_wait_seconds == b.mean_queue_wait_seconds &&
-         a.mean_slowdown == b.mean_slowdown &&
-         a.max_slowdown == b.max_slowdown &&
-         a.total_task_faults == b.total_task_faults &&
-         a.total_instance_crashes == b.total_instance_crashes &&
-         a.total_quarantined_tasks == b.total_quarantined_tasks &&
-         a.total_over_budget_units == b.total_over_budget_units &&
-         a.jobs_over_budget == b.jobs_over_budget;
-}
-
 }  // namespace wire::ensemble

@@ -45,6 +45,9 @@ struct JobOutcome {
   std::uint32_t instance_crashes = 0;
   /// Tasks quarantined after exhausting their retry budget.
   std::uint32_t quarantined_tasks = 0;
+
+  /// Every field, exactly (the windowed-vs-reference differentials).
+  friend bool operator==(const JobOutcome&, const JobOutcome&) = default;
 };
 
 /// Site-level result of one ensemble run.
@@ -85,9 +88,10 @@ struct EnsembleReport {
   /// Fixed-width summary: one row per job plus the aggregate block.
   /// Byte-identical across runs with the same (arrival seed, config).
   std::string render() const;
-};
 
-bool operator==(const JobOutcome& a, const JobOutcome& b);
-bool operator==(const EnsembleReport& a, const EnsembleReport& b);
+  /// Every field, exactly (the windowed-vs-reference differentials).
+  friend bool operator==(const EnsembleReport&,
+                         const EnsembleReport&) = default;
+};
 
 }  // namespace wire::ensemble

@@ -9,7 +9,7 @@
 // Its purpose is to reproduce the paper's Observation 2: task execution
 // times vary across runs (datasets, resource types, co-location), so
 // history mispredicts by the run-to-run factor while online prediction
-// adapts. bench_motivation measures exactly that.
+// adapts. The Observation-2 study in bench_paper measures exactly that.
 #pragma once
 
 #include <cstdint>

@@ -185,6 +185,14 @@ struct CheckpointConfig {
   double hazard_prior_weight_hours = 1.0;
 
   bool enabled() const { return channel_bandwidth_mb_per_s > 0.0; }
+
+  /// Throws ContractViolation when an enabled configuration can never make
+  /// progress or yields NaN intervals: the floor must be finite and positive
+  /// (a zero interval re-fires a zero-cost write at the same instant
+  /// forever), the image size and the hazard prior finite and non-negative,
+  /// and a Static interval positive. No-op when disabled. Called by every
+  /// entry point that will run the config (JobEngine, EnsembleDriver).
+  void validate() const;
 };
 
 /// Bounded retry policy for transient task failures (only exercised when

@@ -10,6 +10,24 @@ namespace wire::sim {
 
 using dag::TaskId;
 
+void CheckpointConfig::validate() const {
+  if (!enabled()) return;
+  const auto finite_at_least_zero = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  WIRE_REQUIRE(std::isfinite(min_interval_seconds) &&
+                   min_interval_seconds > 0.0,
+               "checkpoint min_interval_seconds must be finite and positive");
+  WIRE_REQUIRE(finite_at_least_zero(default_size_mb),
+               "checkpoint default_size_mb must be finite and non-negative");
+  WIRE_REQUIRE(finite_at_least_zero(hazard_prior_per_hour) &&
+                   finite_at_least_zero(hazard_prior_weight_hours),
+               "checkpoint hazard prior must be finite and non-negative");
+  WIRE_REQUIRE(interval_policy != IntervalPolicy::Static ||
+                   static_interval_seconds > 0.0,
+               "static checkpoint interval must be positive");
+}
+
 JobEngine::JobEngine(const dag::Workflow& workflow, ScalingPolicy& policy,
                      const CloudConfig& config, const RunOptions& options)
     : workflow_(workflow),
@@ -42,6 +60,7 @@ JobEngine::JobEngine(const dag::Workflow& workflow, ScalingPolicy& policy,
   WIRE_REQUIRE(std::isfinite(options.max_sim_seconds) &&
                    options.max_sim_seconds > 0.0,
                "max_sim_seconds must be finite and positive");
+  config.checkpoint.validate();
   // The store's constructor journals the same t = 0 bootstrap the master's
   // constructor performs (roots fired as Ready); lifecycle hooks keep it
   // current from here on.

@@ -596,6 +596,23 @@ TEST(EnsembleDriver, RejectsMalformedSetups) {
                                 factory, site, bad),
                  util::ContractViolation);
   }
+  // Tenant engines are built only at admission, so the driver itself must
+  // refuse a checkpoint config that can never make progress: a zero or NaN
+  // interval floor, a NaN hazard prior, a zero Static interval.
+  sim::CloudConfig ckpt_site = site;
+  ckpt_site.checkpoint.channel_bandwidth_mb_per_s = 200.0;
+  std::vector<sim::CloudConfig> bad_sites(4, ckpt_site);
+  bad_sites[0].checkpoint.min_interval_seconds = 0.0;
+  bad_sites[1].checkpoint.min_interval_seconds = nan;
+  bad_sites[2].checkpoint.hazard_prior_per_hour = nan;
+  bad_sites[3].checkpoint.interval_policy =
+      sim::CheckpointConfig::IntervalPolicy::Static;
+  bad_sites[3].checkpoint.static_interval_seconds = 0.0;
+  for (const sim::CloudConfig& bad : bad_sites) {
+    EXPECT_THROW(EnsembleDriver(small_profiles(), burst_stream(2, 60.0),
+                                factory, bad),
+                 util::ContractViolation);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "dag/analysis.h"
 #include "policies/baselines.h"
@@ -243,6 +244,49 @@ TEST(Driver, MalformedMaxSimSecondsIsRejected) {
     options.max_sim_seconds = bad;
     EXPECT_THROW(JobEngine(wf, policy, exact_cloud(900.0), options),
                  util::ContractViolation);
+  }
+}
+
+TEST(Driver, CheckpointConfigThatCannotProgressIsRejected) {
+  // A zero floor with a zero-size image commits a zero-length write and
+  // re-fires it at the same instant forever (the max_sim_seconds guard never
+  // trips); a NaN prior or floor makes every interval NaN. The engine
+  // refuses such configs at construction. None of them is ever run.
+  const dag::Workflow wf = workload::linear_workflow(1, 4, 100.0);
+  StallPolicy policy;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  CloudConfig cloud = exact_cloud(900.0);
+  cloud.checkpoint.channel_bandwidth_mb_per_s = 200.0;
+  std::vector<CheckpointConfig> bad(10, cloud.checkpoint);
+  bad[0].min_interval_seconds = 0.0;
+  bad[1].min_interval_seconds = -1.0;
+  bad[2].min_interval_seconds = nan;
+  bad[3].default_size_mb = -1.0;
+  bad[4].default_size_mb = nan;
+  bad[5].hazard_prior_per_hour = nan;
+  bad[6].hazard_prior_per_hour = -1.0;
+  bad[7].hazard_prior_weight_hours = nan;
+  bad[8].hazard_prior_weight_hours = -1.0;
+  bad[9].interval_policy = CheckpointConfig::IntervalPolicy::Static;
+  bad[9].static_interval_seconds = 0.0;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("bad checkpoint config #" + std::to_string(i));
+    cloud.checkpoint = bad[i];
+    EXPECT_THROW(JobEngine(wf, policy, cloud, RunOptions{}),
+                 util::ContractViolation);
+  }
+  // Boundary values that do make progress stay accepted: a zero-size image,
+  // a zero-weight prior, and any values at all while the channel is off.
+  std::vector<CheckpointConfig> good(3, bad[0]);
+  good[0].min_interval_seconds = 30.0;
+  good[0].default_size_mb = 0.0;
+  good[1].min_interval_seconds = 30.0;
+  good[1].hazard_prior_weight_hours = 0.0;
+  good[2].channel_bandwidth_mb_per_s = 0.0;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    SCOPED_TRACE("good checkpoint config #" + std::to_string(i));
+    cloud.checkpoint = good[i];
+    EXPECT_NO_THROW(JobEngine(wf, policy, cloud, RunOptions{}));
   }
 }
 

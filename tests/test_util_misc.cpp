@@ -1,5 +1,5 @@
 // Tests for the remaining utility surface: text tables, CSV escaping,
-// parallel_for error propagation, contracts, and logging.
+// parallel_for error propagation, and contracts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 
 #include "util/check.h"
 #include "util/csv.h"
-#include "util/log.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -107,16 +106,6 @@ TEST(Contracts, MessagesCarryContext) {
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("one is not two"), std::string::npos);
   }
-}
-
-TEST(Logging, LevelGatesMessages) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Off);
-  WIRE_INFO("this must be dropped silently");
-  set_log_level(LogLevel::Debug);
-  WIRE_DEBUG("and this one emitted (to stderr)");
-  set_log_level(before);
-  SUCCEED();
 }
 
 }  // namespace
