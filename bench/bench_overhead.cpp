@@ -30,6 +30,7 @@
 #include "core/lookahead.h"
 #include "core/steering.h"
 #include "exp/settings.h"
+#include "oracle/snapshot_oracle.h"
 #include "policies/baselines.h"
 #include "predict/task_predictor.h"
 #include "sim/driver.h"
@@ -307,8 +308,8 @@ BENCHMARK(BM_MonitorTickStore_EpiL);
 
 void BM_MonitorTickRebuild(benchmark::State& state, PausedEngine& fixture) {
   for (auto _ : state) {
-    const sim::MonitorSnapshot snap =
-        fixture.engine->rebuild_snapshot(fixture.now);
+    const sim::MonitorSnapshot snap = sim::oracle::rebuild_snapshot(
+        *fixture.engine, fixture.config, fixture.now);
     benchmark::DoNotOptimize(snap.incomplete_tasks);
   }
 }
@@ -365,8 +366,8 @@ int run_smoke() {
       iters, reps);
   const double rebuild_l = best_seconds_per_call(
       [&] {
-        const sim::MonitorSnapshot snap =
-            large.engine->rebuild_snapshot(large.now);
+        const sim::MonitorSnapshot snap = sim::oracle::rebuild_snapshot(
+            *large.engine, large.config, large.now);
         benchmark::DoNotOptimize(snap.incomplete_tasks);
       },
       iters, reps);

@@ -1,5 +1,6 @@
-// Ensemble scale trajectory: the multi-tenant driver's sequential reference
-// loop vs its windowed engine, swept over tenant count on one site.
+// Ensemble scale trajectory: the multi-tenant driver's event-at-a-time
+// reference mode (shards == 0) vs its windowed engine, swept over tenant
+// count on one site.
 //
 // Each cell runs the identical job stream (same arrivals, same seeds, same
 // arbitration) on one driver loop and records the wall-clock of the whole
@@ -115,7 +116,7 @@ struct CellResult {
   Engine engine = Engine::Reference;
   double wall_ms = 0.0;
   /// Site-listener samples (site events in the windowed engine; every event
-  /// in the reference loop — the cadences differ by design, so latency is
+  /// in the reference mode — the cadences differ by design, so latency is
   /// compared through wall_ms, not per-sample time).
   std::uint64_t samples = 0;
   /// Largest concurrently live tenant population seen at any sample — the

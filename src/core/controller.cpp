@@ -222,12 +222,6 @@ sim::PoolCommand WireController::plan(const sim::MonitorSnapshot& snapshot) {
   return cmd;
 }
 
-double WireController::planned_burn_units(const sim::MonitorSnapshot& snapshot,
-                                          double horizon) const {
-  return core::planned_burn_units(snapshot, config_, last_planned_pool_,
-                                  horizon);
-}
-
 std::size_t WireController::state_bytes() const {
   std::size_t bytes = sizeof(*this);
   if (estimator_) bytes += estimator_->state_bytes();

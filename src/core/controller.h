@@ -141,16 +141,8 @@ class WireController final : public sim::ScalingPolicy {
   const predict::BanditSelector* bandit() const { return selector_.get(); }
 
   /// Algorithm 3's unclamped planned pool size from the last plan() call
-  /// (0 until the first tick) — the anchor of the burn projection below.
+  /// (0 until the first tick).
   std::uint32_t last_planned_pool() const { return last_planned_pool_; }
-
-  /// Projected billing burn of holding the last planned pool over the next
-  /// `horizon` seconds: charging units newly starting in (now, now +
-  /// horizon], per core::planned_burn_units. This is the spend-rate signal
-  /// budget enforcement consumes — what the plan will cost before the money
-  /// is gone, not after (policies::BudgetPolicy, DESIGN.md §4.16).
-  double planned_burn_units(const sim::MonitorSnapshot& snapshot,
-                            double horizon) const;
 
   /// Controller state footprint in bytes (§IV-F overhead accounting).
   std::size_t state_bytes() const;

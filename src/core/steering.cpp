@@ -196,79 +196,4 @@ double sunk_cost_at_risk(const sim::InstanceObservation& inst,
   return cost * (1.0 - config.checkpoint_fraction);
 }
 
-double planned_burn_units(const sim::MonitorSnapshot& snapshot,
-                          const sim::CloudConfig& config,
-                          std::uint32_t target_pool, double horizon) {
-  WIRE_REQUIRE(config.charging_unit_seconds > 0.0,
-               "charging unit must be positive");
-  WIRE_REQUIRE(horizon >= 0.0, "horizon must be non-negative");
-  const double u = config.charging_unit_seconds;
-
-  // Split the live rows: ready (and revoking — projected conservatively as
-  // if they keep recharging) versus still-provisioning boots. Draining rows
-  // expire at their boundary without recharging and never count toward the
-  // held pool.
-  struct ReadyRow {
-    sim::InstanceId id;
-    double ttc;
-  };
-  struct BootRow {
-    sim::InstanceId id;
-    double ready_delta;
-  };
-  std::vector<ReadyRow> ready;
-  std::vector<BootRow> boots;
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    if (inst.draining) continue;
-    if (inst.provisioning) {
-      boots.push_back(
-          BootRow{inst.id, std::max(0.0, inst.ready_at - snapshot.now)});
-    } else {
-      ready.push_back(ReadyRow{inst.id, inst.time_to_next_charge});
-    }
-  }
-  std::uint32_t live = static_cast<std::uint32_t>(ready.size() + boots.size());
-
-  // Shrink toward the target in budget-enforcement order: cancel the boots
-  // that arrive last first (capacity that never materialised is the cheapest
-  // to give up), then drain the ready rows whose unit recharges soonest
-  // (the largest near-term saving). Ties break on id for determinism.
-  if (target_pool < live) {
-    std::sort(boots.begin(), boots.end(), [](const BootRow& a,
-                                             const BootRow& b) {
-      if (a.ready_delta != b.ready_delta) return a.ready_delta > b.ready_delta;
-      return a.id > b.id;
-    });
-    std::sort(ready.begin(), ready.end(), [](const ReadyRow& a,
-                                             const ReadyRow& b) {
-      if (a.ttc != b.ttc) return a.ttc < b.ttc;
-      return a.id < b.id;
-    });
-    std::uint32_t drop = live - target_pool;
-    const std::uint32_t boot_drop =
-        std::min(drop, static_cast<std::uint32_t>(boots.size()));
-    boots.resize(boots.size() - boot_drop);
-    drop -= boot_drop;
-    ready.erase(ready.begin(),
-                ready.begin() + std::min<std::size_t>(drop, ready.size()));
-    live = target_pool;
-  }
-
-  double burn = 0.0;
-  for (const ReadyRow& row : ready) {
-    burn += units_starting_within(row.ttc, horizon, u);
-  }
-  for (const BootRow& row : boots) {
-    // Committed-first-unit semantics: a boot in flight owes its first unit
-    // whenever it lands, horizon or not.
-    burn += std::max(1.0, units_starting_within(row.ready_delta, horizon, u));
-  }
-  if (target_pool > live) {
-    const double grow_burn =
-        std::max(1.0, units_starting_within(config.lag_seconds, horizon, u));
-    burn += static_cast<double>(target_pool - live) * grow_burn;
-  }
-  return burn;
-}
-
 }  // namespace wire::core

@@ -247,32 +247,12 @@ sim::PoolCommand steer(const LookaheadResult& lookahead,
 
 /// Charging units that newly start in (now, now + horizon] for a row whose
 /// next unit begins `first_start_delta` seconds from now, recharging every
-/// `charging_unit` seconds thereafter. The shared primitive of the burn
-/// projection: policies::BudgetPolicy and planned_burn_units() below must
-/// count recharges identically or budget enforcement drifts from the
-/// projection the controller reports.
+/// `charging_unit` seconds thereafter: the recharge count of
+/// policies::BudgetPolicy's burn projection.
 inline double units_starting_within(double first_start_delta, double horizon,
                                     double charging_unit) {
   if (first_start_delta > horizon) return 0.0;
   return 1.0 + std::floor((horizon - first_start_delta) / charging_unit);
 }
-
-/// Projected billing burn of holding the pool at `target_pool` for the next
-/// `horizon` seconds: charging units that newly *start* in (now, now +
-/// horizon], given the snapshot's live rows. Ready rows recharge on their own
-/// clocks (time_to_next_charge); provisioning rows and the boots needed to
-/// reach the target contribute their first unit even when it starts beyond
-/// the horizon — a requested instance commits at least one unit the moment
-/// it comes up, so the projection treats that money as already spoken for.
-/// When the target is below the live count, surplus rows are projected away
-/// in the shrink order budget enforcement uses (boots latest-ready-first,
-/// then ready rows soonest-recharge-first) so the projection matches the
-/// command a budget-capped policy would actually issue. Draining rows expire
-/// at their boundary and burn nothing; revoking rows are projected like
-/// ready ones (the provider may bill recharges until the revocation lands —
-/// over-counting them only makes the projection conservative).
-double planned_burn_units(const sim::MonitorSnapshot& snapshot,
-                          const sim::CloudConfig& config,
-                          std::uint32_t target_pool, double horizon);
 
 }  // namespace wire::core

@@ -60,72 +60,4 @@ ClusteredWorkflow cluster_horizontal(const Workflow& workflow,
   return ClusteredWorkflow{builder.build(), std::move(mapping), merged};
 }
 
-ClusteredWorkflow cluster_vertical(const Workflow& workflow) {
-  const std::size_t n = workflow.task_count();
-  // chain_next[t] = successor merged into t's job, or kInvalidTask.
-  std::vector<TaskId> chain_next(n, kInvalidTask);
-  std::vector<bool> absorbed(n, false);
-  for (TaskId t = 0; t < n; ++t) {
-    const auto succs = workflow.successors(t);
-    if (succs.size() != 1) continue;
-    const TaskId succ = succs[0];
-    if (workflow.predecessors(succ).size() != 1) continue;
-    chain_next[t] = succ;
-    absorbed[succ] = true;
-  }
-
-  WorkflowBuilder builder(workflow.name() + "-chained");
-  std::vector<TaskId> mapping(n, kInvalidTask);
-  std::uint32_t merged = 0;
-
-  // Stages are re-registered lazily (merging can empty a stage entirely).
-  std::vector<StageId> new_stage(workflow.stage_count(), kInvalidStage);
-  const auto stage_for = [&](StageId original) {
-    if (new_stage[original] == kInvalidStage) {
-      const StageSpec& spec = workflow.stage(original);
-      new_stage[original] = builder.add_stage(spec.name, spec.executable);
-    }
-    return new_stage[original];
-  };
-
-  // Task ids are a topological order by construction, so walking heads in id
-  // order guarantees predecessors were emitted first.
-  for (TaskId head = 0; head < n; ++head) {
-    if (absorbed[head]) continue;
-    double exec = 0.0;
-    double output_mb = 0.0;
-    std::string name = workflow.task(head).name;
-    TaskId tail = head;
-    std::uint32_t length = 1;
-    for (TaskId t = head;; t = chain_next[t]) {
-      exec += workflow.task(t).ref_exec_seconds;
-      output_mb = workflow.task(t).output_mb;
-      tail = t;
-      if (chain_next[t] == kInvalidTask) break;
-      ++length;
-    }
-    if (length > 1) {
-      name = "chain_" + workflow.task(head).name;
-      ++merged;
-    }
-    std::vector<TaskId> preds;
-    for (TaskId pred : workflow.predecessors(head)) {
-      // The predecessor may sit inside a chain: map to its job.
-      WIRE_CHECK(mapping[pred] != kInvalidTask,
-                 "predecessor not yet emitted");
-      preds.push_back(mapping[pred]);
-    }
-    const TaskId job = builder.add_task(
-        stage_for(workflow.task(head).stage), std::move(name),
-        workflow.task(head).input_mb, output_mb, exec, std::move(preds));
-    for (TaskId t = head;; t = chain_next[t]) {
-      mapping[t] = job;
-      if (chain_next[t] == kInvalidTask) break;
-    }
-    (void)tail;
-  }
-
-  return ClusteredWorkflow{builder.build(), std::move(mapping), merged};
-}
-
 }  // namespace wire::dag

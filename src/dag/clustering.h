@@ -44,14 +44,4 @@ struct ClusteredWorkflow {
 ClusteredWorkflow cluster_horizontal(const Workflow& workflow,
                                      const ClusterOptions& options = {});
 
-/// Vertical (chain) clustering: merges maximal 1:1 pipeline chains — a task
-/// whose single successor has it as its single predecessor — into one job
-/// that runs the chain sequentially on a slot. This is Pegasus's other
-/// clustering mode; it collapses the per-chunk filter→convert→map pipelines
-/// of Epigenomics-style workflows, removing the per-hop dispatch and
-/// transfer overheads. The merged job lives in the chain head's stage; its
-/// execution time is the chain sum, its input is the head's, its output the
-/// tail's. Stages emptied by merging are dropped.
-ClusteredWorkflow cluster_vertical(const Workflow& workflow);
-
 }  // namespace wire::dag

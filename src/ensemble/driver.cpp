@@ -87,9 +87,9 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
                "budget must be finite and non-negative");
   WIRE_REQUIRE(options_.shards <= 1,
                "shards is 0 (reference loop) or 1 (windowed engine)");
-  // Engines are built only at admission; reject a checkpoint config that
-  // would hang them before the run starts.
-  cloud_.checkpoint.validate();
+  // Engines are built only at admission; reject a config that would fail
+  // them before the run starts.
+  cloud_.validate();
   for (const JobArrival& a : arrivals_.jobs()) {
     WIRE_REQUIRE(a.profile_index < profiles_.size(),
                  "arrival references an unknown profile");
@@ -327,102 +327,59 @@ double EnsembleDriver::dedicated_makespan(const Tenant& tenant) {
       .makespan;
 }
 
-void EnsembleDriver::run_sequential_loop() {
-  // The historical reference loop: pop one site event at a time, in global
-  // time order, scanning every tenant per event and re-reading and
-  // re-installing every row at every rebalance. Kept behind shards == 0 as
-  // the byte-identity oracle for the windowed engine's cached keys and
-  // incremental rebalance.
-  std::size_t next_arrival = 0;
-  const std::vector<JobArrival>& stream = arrivals_.jobs();
+void EnsembleDriver::advance_local(sim::SimTime arrival_time) {
+  const sim::SimTime max = options_.max_sim_seconds;
+  // Horizon: the earliest pending event that can change any tenant's demand
+  // state or read its cap. Everything strictly below it is local to one
+  // engine and commutes across tenants. Keys are cached per slot and +inf for
+  // tenants that are not running.
+  sim::SimTime horizon = arrival_time;
+  for (const sim::SimTime when : demand_at_) {
+    horizon = std::min(horizon, when);
+  }
 
-  for (;;) {
-    // Earliest pending site event: the next arrival or the earliest internal
-    // event among active tenants (ties: arrivals first, then lowest job id —
-    // both fixed by construction, so the interleaving is deterministic).
-    const sim::SimTime arrival_time = next_arrival < stream.size()
-                                          ? stream[next_arrival].arrival_seconds
-                                          : kNever;
-    std::size_t next_slot = open_.size();
-    sim::SimTime tenant_time = kNever;
-    for (std::size_t i = 0; i < open_.size(); ++i) {
-      const Tenant& t = *open_[i];
-      if (t.state != Tenant::State::Active) continue;
+  // Every due tenant (a running engine with a local event below the horizon;
+  // a finished engine awaiting retirement keeps its completion time as key)
+  // runs its local events strictly below the horizon. Local handlers never
+  // touch caps or demand, so this is byte-equivalent to processing the same
+  // events interleaved in global time order.
+  for (std::size_t i = 0; i < open_.size(); ++i) {
+    // A waiting tenant has no engine; its key is +inf.
+    if (next_at_[i] >= horizon || next_at_[i] > max) continue;
+    const Tenant& t = *open_[i];
+    sim::JobEngine& engine = *t.engine;
+    if (engine.done()) continue;
+    WIRE_CHECK(t.next_event_site_time() == next_at_[i],
+               "stale cached event key");
+    while (!engine.done()) {
       const sim::SimTime when = t.next_event_site_time();
-      if (when < tenant_time) {
-        tenant_time = when;
-        next_slot = i;
-      }
-    }
-    if (arrival_time == kNever && next_slot == open_.size()) break;
-
-    const sim::SimTime now = std::min(arrival_time, tenant_time);
-    if (now > options_.max_sim_seconds) {
-      throw std::runtime_error(
-          "ensemble exceeded max_sim_seconds — site appears stuck");
-    }
-
-    if (arrival_time <= tenant_time) {
-      enqueue_arrival(stream[next_arrival++]);
-    } else {
-      sim::JobEngine& engine = *open_[next_slot]->engine;
+      if (when >= horizon || when > max) break;
       engine.step();
-      if (engine.done()) retire(next_slot, now);
     }
-    // Rebalance after every event: demands move on control ticks, floors
-    // move on boots/releases, and retirements free whole shares.
-    rebalance(now, /*full=*/true);
+    WIRE_CHECK(engine.done() || t.next_demand_site_time() >= horizon,
+               "local advance crossed a demand-relevant event");
+    refresh(i);
   }
 }
 
-void EnsembleDriver::run_windowed_loop() {
+void EnsembleDriver::run_loop() {
   std::size_t next_arrival = 0;
   const std::vector<JobArrival>& stream = arrivals_.jobs();
-  const sim::SimTime max = options_.max_sim_seconds;
+  // shards == 0 is the event-at-a-time reference: no local advance, so every
+  // engine event is a site event, and every rebalance re-reads and
+  // re-installs every row. It is the oracle for the cached keys and rows.
+  const bool reference = options_.shards == 0;
 
   for (;;) {
     const sim::SimTime arrival_time = next_arrival < stream.size()
                                           ? stream[next_arrival].arrival_seconds
                                           : kNever;
-
-    // Horizon: the earliest pending event that can change any tenant's
-    // demand state or read its cap. Everything strictly below it is local to
-    // one engine and commutes across tenants. Keys are cached per slot and
-    // +inf for tenants that are not running.
-    sim::SimTime horizon = arrival_time;
-    for (const sim::SimTime when : demand_at_) {
-      horizon = std::min(horizon, when);
-    }
-
-    // Local advance: every due tenant (a running engine with a local event
-    // below the horizon; a finished engine awaiting retirement keeps its
-    // completion time as key) runs its local events strictly below the
-    // horizon. Local handlers never touch caps or demand, so this is
-    // byte-equivalent to processing the same events interleaved in global
-    // time order.
-    for (std::size_t i = 0; i < open_.size(); ++i) {
-      // A waiting tenant has no engine; its key is +inf.
-      if (next_at_[i] >= horizon || next_at_[i] > max) continue;
-      const Tenant& t = *open_[i];
-      sim::JobEngine& engine = *t.engine;
-      if (engine.done()) continue;
-      WIRE_CHECK(t.next_event_site_time() == next_at_[i],
-                 "stale cached event key");
-      while (!engine.done()) {
-        const sim::SimTime when = t.next_event_site_time();
-        if (when >= horizon || when > max) break;
-        engine.step();
-      }
-      WIRE_CHECK(engine.done() || t.next_demand_site_time() >= horizon,
-                 "local advance crossed a demand-relevant event");
-      refresh(i);
-    }
+    if (!reference) advance_local(arrival_time);
 
     // Site event: exactly one site action — the earliest among the next
     // arrival, pending retirements (engines that completed during the local
     // advance, at their completion times), and tracked tenant events (all
-    // >= horizon now). Ties: arrivals first, then lowest tenant index — the
-    // same total order the sequential reference scan induces.
+    // >= horizon now). Ties: arrivals first, then lowest tenant index.
     std::size_t next_slot = open_.size();
     sim::SimTime tenant_time = kNever;
     for (std::size_t i = 0; i < open_.size(); ++i) {
@@ -434,7 +391,7 @@ void EnsembleDriver::run_windowed_loop() {
     if (arrival_time == kNever && next_slot == open_.size()) break;
 
     const sim::SimTime now = std::min(arrival_time, tenant_time);
-    if (now > max) {
+    if (now > options_.max_sim_seconds) {
       throw std::runtime_error(
           "ensemble exceeded max_sim_seconds — site appears stuck");
     }
@@ -455,7 +412,7 @@ void EnsembleDriver::run_windowed_loop() {
         refresh(next_slot);
       }
     }
-    rebalance(now, /*full=*/false);
+    rebalance(now, /*full=*/reference);
   }
 }
 
@@ -478,11 +435,7 @@ EnsembleReport EnsembleDriver::assemble_report() {
 EnsembleReport EnsembleDriver::run() {
   WIRE_REQUIRE(!ran_, "ensemble already ran");
   ran_ = true;
-  if (options_.shards == 0) {
-    run_sequential_loop();
-  } else {
-    run_windowed_loop();
-  }
+  run_loop();
   return assemble_report();
 }
 

@@ -45,9 +45,11 @@
 // event (arrival, tracked tenant event, or retirement) and rebalances shares.
 // Local events never read the instance cap and never move the demand signal,
 // so advancing them ahead commutes with the site events and, without a
-// checkpoint channel, the result is byte-identical to the fully sequential
-// reference (EnsembleOptions::shards == 0 keeps that reference loop;
-// tests/test_ensemble_windowed.cpp proves the equivalence differentially).
+// checkpoint channel, the result is byte-identical to the event-at-a-time
+// reference. EnsembleOptions::shards == 0 runs the same loop as that
+// reference: the local advance is skipped, so every engine event is a site
+// event, and every rebalance is a full one (tests/test_ensemble_windowed.cpp
+// proves the equivalence differentially).
 //
 // Incremental serial phase: the driver keeps, in flat vectors parallel to
 // the FIFO list of open tenants, each tenant's arbiter row (TenantDemand),
@@ -65,8 +67,8 @@
 // event (set_checkpoint_channel re-arms the checkpoint guard), the tenant
 // must be re-keyed right after it, or the cached keys go stale. The rows
 // stay in arrival order, so the allocation arithmetic and its (arrival, job
-// id) tie-breaks are those of the reference. The shards == 0 reference
-// re-reads and re-installs every row at every event, which makes it the
+// id) tie-breaks are those of the reference. With shards == 0 every
+// rebalance re-reads and re-installs every row, which makes that mode the
 // oracle for this bookkeeping.
 //
 // Policy-state sharing: the driver runs on the calling thread and steps one
@@ -78,11 +80,11 @@
 // At most one policy per admitted tenant plus the one replay policy is
 // alive at any moment.
 //
-// Site listener cadence: the windowed engine emits SiteSamples at site
-// events only (arrivals, demand-relevant tenant events, retirements) — the
-// points where shares can actually move. The shards == 0 reference loop
-// keeps the historical after-every-event cadence. Share values and the
-// capacity invariant are identical at the shared points.
+// Site listener cadence: a SiteSample follows every site event (arrivals,
+// demand-relevant tenant events, retirements) — the points where shares can
+// actually move. With shards == 0 every engine event is a site event, so
+// samples follow every processed event. Share values and the capacity
+// invariant are identical at the shared points.
 #pragma once
 
 #include <cstddef>
@@ -122,9 +124,11 @@ struct EnsembleOptions {
   /// measured against. Doubles the simulation work; disable for quick runs
   /// (slowdown and dedicated makespan then report 0).
   bool dedicated_baseline = true;
-  /// Driver loop: 0 = the fully sequential reference loop; 1 = the windowed
-  /// engine. Values of 2 or more are rejected. Without a checkpoint channel
-  /// the EnsembleReport is byte-identical for both values.
+  /// Driver loop mode: 1 = windowed (local events advance ahead of site
+  /// events, rebalances touch only changed rows); 0 = the event-at-a-time
+  /// reference (no local advance, every rebalance full). Values of 2 or more
+  /// are rejected. Without a checkpoint channel the EnsembleReport is
+  /// byte-identical for both values.
   std::uint32_t shards = 1;
   /// Feed each tenant's projected memory demand
   /// (JobEngine::requested_mem_mb) into demand-weighted arbitration via
@@ -151,9 +155,9 @@ struct EnsembleOptions {
 
 /// Site-level observation emitted at every site event (arrival,
 /// demand-relevant tenant event, retirement) once shares are rebalanced —
-/// every point where shares can move; the shards == 0 reference loop emits
-/// after every processed event. Tests use it to assert the capacity
-/// invariant at every control point.
+/// every point where shares can move; with shards == 0 that is after every
+/// processed event. Tests use it to assert the capacity invariant at every
+/// control point.
 struct SiteSample {
   sim::SimTime now = 0.0;
   std::uint32_t site_cap = 0;
@@ -203,7 +207,7 @@ class EnsembleDriver {
   void retire(std::size_t slot, sim::SimTime now);
   /// Allocates and installs shares (and checkpoint grants) when a row
   /// changed, then emits the SiteSample. `full` re-reads and re-installs
-  /// every row regardless (the reference loop's semantics).
+  /// every row regardless (the shards == 0 semantics).
   void rebalance(sim::SimTime now, bool full);
   /// The arbiter's view of one tenant right now.
   TenantDemand demand_row(const Tenant& tenant) const;
@@ -211,8 +215,10 @@ class EnsembleDriver {
   void refresh(std::size_t slot);
   /// Appends an arrived job as a waiting tenant (no engine yet).
   void enqueue_arrival(const JobArrival& a);
-  void run_sequential_loop();
-  void run_windowed_loop();
+  /// Steps every running tenant through its local events below the next
+  /// demand-relevant site event (or the next arrival, if earlier).
+  void advance_local(sim::SimTime arrival_time);
+  void run_loop();
   EnsembleReport assemble_report();
   double dedicated_makespan(const Tenant& tenant);
 

@@ -62,11 +62,4 @@ void write_summary_csv(const std::string& path, const sim::RunResult& result,
       << ',' << result.task_restarts << ',' << result.control_ticks << '\n';
 }
 
-void write_fault_trace_csv(const std::string& path,
-                           const sim::RunResult& result) {
-  std::ofstream out(path, std::ios::trunc);
-  WIRE_REQUIRE(static_cast<bool>(out), "cannot open " + path);
-  out << sim::render_fault_trace(result.fault_trace);
-}
-
 }  // namespace wire::metrics

@@ -27,11 +27,4 @@ void write_timeline_csv(const std::string& path,
 void write_summary_csv(const std::string& path, const sim::RunResult& result,
                        bool append = false);
 
-/// Writes the run's fault journal (one row per injected fault event:
-/// time, kind, subject, attempt, detail — hexfloat times, so two runs of the
-/// same seed produce byte-identical files). Valid for fault-free runs too:
-/// the file then holds just the header.
-void write_fault_trace_csv(const std::string& path,
-                           const sim::RunResult& result);
-
 }  // namespace wire::metrics

@@ -28,14 +28,4 @@ double relative_true_error(double estimate, double actual) {
   return (estimate - actual) / actual;
 }
 
-std::vector<double> normalize_to_best(const std::vector<double>& values) {
-  WIRE_REQUIRE(!values.empty(), "normalize_to_best of empty set");
-  const double best = *std::min_element(values.begin(), values.end());
-  WIRE_REQUIRE(best > 0.0, "normalize_to_best needs positive values");
-  std::vector<double> out;
-  out.reserve(values.size());
-  for (double v : values) out.push_back(v / best);
-  return out;
-}
-
 }  // namespace wire::metrics

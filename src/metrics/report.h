@@ -44,9 +44,4 @@ struct EnsembleCellStats {
 double true_error(double estimate, double actual);
 double relative_true_error(double estimate, double actual);
 
-/// Normalizes each value to the minimum of the set ("relative execution
-/// time ... normalize the times across settings ... to the best
-/// performance"). Requires a non-empty, positive-valued input.
-std::vector<double> normalize_to_best(const std::vector<double>& values);
-
 }  // namespace wire::metrics

@@ -121,10 +121,9 @@ sim::PoolCommand BudgetPolicy::plan(const sim::MonitorSnapshot& snapshot) {
 
   // ---- Classify the command's kept pool and its projected burn. ----------
   // Burn = charging units newly starting in (now, now + h] if the command
-  // stands, via the same units_starting_within arithmetic the controller's
-  // burn projection reports (core::planned_burn_units). Boots in flight and
-  // grow requests carry committed-first-unit semantics: their first unit is
-  // owed whenever they land, horizon or not.
+  // stands, counted per row by core::units_starting_within. Boots in flight
+  // and grow requests carry committed-first-unit semantics: their first unit
+  // is owed whenever they land, horizon or not.
   struct Kept {
     sim::InstanceId id = sim::kInvalidInstance;
     double burn = 0.0;
@@ -218,10 +217,8 @@ sim::PoolCommand BudgetPolicy::plan(const sim::MonitorSnapshot& snapshot) {
   // ---- Tighten toward the caps, cheapest capacity first. -----------------
   // Shrink order: give back reclaimed drains (they just keep draining), cut
   // grow requests, cancel the boots that arrive last, then drain the ready
-  // rows whose unit recharges soonest (largest near-term saving) — the same
-  // order core::planned_burn_units projects, so enforcement matches the
-  // reported projection. Ties break on id: deterministic replay is part of
-  // the policy contract.
+  // rows whose unit recharges soonest (largest near-term saving). Ties break
+  // on id: deterministic replay is part of the policy contract.
   std::sort(cancels_kept.begin(), cancels_kept.end(),
             [](const Kept& a, const Kept& b) {
               if (a.key != b.key) return a.key < b.key;

@@ -8,7 +8,7 @@
 // ceil(elapsed / u) units, a vanished one retires its last known count. The
 // enforcement signal is *projected* spend — committed units plus the burn the
 // wrapped policy's command would start over the next control interval
-// (core::planned_burn_units arithmetic) — so budgets bind before the money
+// (core::units_starting_within per row) — so budgets bind before the money
 // is gone, not after. Three throttle modes shape the wrapped policy's pool
 // before the hard affordability pass:
 //

@@ -190,8 +190,8 @@ struct CheckpointConfig {
   /// progress or yields NaN intervals: the floor must be finite and positive
   /// (a zero interval re-fires a zero-cost write at the same instant
   /// forever), the image size and the hazard prior finite and non-negative,
-  /// and a Static interval positive. No-op when disabled. Called by every
-  /// entry point that will run the config (JobEngine, EnsembleDriver).
+  /// and a Static interval positive. No-op when disabled. Part of
+  /// CloudConfig::validate().
   void validate() const;
 };
 
@@ -254,6 +254,18 @@ struct CloudConfig {
   RetryConfig retry;
   /// Memory dimension (instance_mem_mb == 0 = unlimited, off).
   MemoryConfig memory;
+
+  /// Throws ContractViolation unless every knob is in range: lag and
+  /// charging unit finite and positive, at least one slot; sigmas, transfer
+  /// latency, dispatch overhead, aggregate bandwidth and restart-cost
+  /// fraction finite and non-negative; link bandwidth finite and positive;
+  /// checkpoint_fraction in [0, 1]; the checkpoint config runnable
+  /// (CheckpointConfig::validate); fault probabilities in [0, 1]; at least
+  /// one retry attempt and a finite, non-negative backoff; memory knobs in
+  /// range. An infinite lag or a NaN latency would otherwise run forever or
+  /// index past the end of the lookahead's boot list. Called by JobEngine's
+  /// and EnsembleDriver's constructors.
+  void validate() const;
 };
 
 }  // namespace wire::sim

@@ -10,29 +10,12 @@ namespace wire::sim {
 
 using dag::TaskId;
 
-void CheckpointConfig::validate() const {
-  if (!enabled()) return;
-  const auto finite_at_least_zero = [](double v) {
-    return std::isfinite(v) && v >= 0.0;
-  };
-  WIRE_REQUIRE(std::isfinite(min_interval_seconds) &&
-                   min_interval_seconds > 0.0,
-               "checkpoint min_interval_seconds must be finite and positive");
-  WIRE_REQUIRE(finite_at_least_zero(default_size_mb),
-               "checkpoint default_size_mb must be finite and non-negative");
-  WIRE_REQUIRE(finite_at_least_zero(hazard_prior_per_hour) &&
-                   finite_at_least_zero(hazard_prior_weight_hours),
-               "checkpoint hazard prior must be finite and non-negative");
-  WIRE_REQUIRE(interval_policy != IntervalPolicy::Static ||
-                   static_interval_seconds > 0.0,
-               "static checkpoint interval must be positive");
-}
-
 JobEngine::JobEngine(const dag::Workflow& workflow, ScalingPolicy& policy,
                      const CloudConfig& config, const RunOptions& options)
     : workflow_(workflow),
       policy_(policy),
-      config_(config),
+      // Validated before any member that sizes itself from it is built.
+      config_((config.validate(), config)),
       options_(options),
       cloud_(config),
       framework_(workflow, config.first_fire_priority,
@@ -52,15 +35,9 @@ JobEngine::JobEngine(const dag::Workflow& workflow, ScalingPolicy& policy,
                         ? config.checkpoint.channel_bandwidth_mb_per_s
                         : 0.0),
       ckpt_sched_(config.checkpoint) {
-  WIRE_REQUIRE(config.lag_seconds > 0.0, "lag must be positive");
-  WIRE_REQUIRE(config.charging_unit_seconds > 0.0,
-               "charging unit must be positive");
-  WIRE_REQUIRE(config.retry.max_attempts > 0, "need at least one attempt");
-  WIRE_REQUIRE(config.slots_per_instance > 0, "need at least one slot");
   WIRE_REQUIRE(std::isfinite(options.max_sim_seconds) &&
                    options.max_sim_seconds > 0.0,
                "max_sim_seconds must be finite and positive");
-  config.checkpoint.validate();
   // The store's constructor journals the same t = 0 bootstrap the master's
   // constructor performs (roots fired as Ready); lifecycle hooks keep it
   // current from here on.
@@ -619,36 +596,6 @@ void JobEngine::handle_transfer_out_done(const Event& e) {
   const TaskId task = e.payload;
   if (!attempt_is_current(task, e.aux)) return;
   finish_transfer_out(task, e.time);
-}
-
-MonitorSnapshot JobEngine::rebuild_snapshot(SimTime now) const {
-  MonitorSnapshot snap;
-  snap.now = now;
-  snap.pool_cap = effective_cap();
-  framework_.fill_observations(now, snap.tasks);
-  framework_.ready_queue_snapshot(snap.ready_queue);
-  snap.incomplete_tasks = static_cast<std::uint32_t>(
-      workflow_.task_count() - framework_.completed_count());
-  for (InstanceId id : cloud_.live()) {
-    const Instance& inst = cloud_.instance(id);
-    InstanceObservation obs;
-    obs.id = id;
-    obs.provisioning = inst.state == InstanceState::Provisioning;
-    obs.ready_at = inst.ready_at;
-    obs.draining = inst.drain_at >= 0.0;
-    obs.revoking = cloud_.revocation_announced(id, now);
-    obs.revoke_at = obs.revoking ? inst.crash_at : -1.0;
-    if (inst.state == InstanceState::Ready) {
-      obs.time_to_next_charge = cloud_.time_to_next_charge(id, now);
-      obs.running_tasks = framework_.tasks_on(id);
-      obs.free_slots = framework_.free_slots(id);
-    } else {
-      obs.time_to_next_charge = config_.charging_unit_seconds;
-      obs.free_slots = config_.slots_per_instance;
-    }
-    snap.instances.push_back(std::move(obs));
-  }
-  return snap;
 }
 
 const MonitorSnapshot& JobEngine::peek_monitor(SimTime now) {

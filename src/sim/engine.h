@@ -148,14 +148,6 @@ class JobEngine {
 
   const dag::Workflow& workflow() const { return workflow_; }
 
-  /// From-scratch snapshot reconstruction — the O(total tasks) reference
-  /// path the incremental MonitorStore replaced on the control-tick hot
-  /// path. Kept for equivalence testing (tests/test_sim_monitor_store.cpp
-  /// asserts it matches the store field-for-field at every tick) and for the
-  /// before/after Monitor-phase benchmark. The returned snapshot carries an
-  /// empty, non-exact delta.
-  MonitorSnapshot rebuild_snapshot(SimTime now) const;
-
   /// The store-maintained snapshot refreshed to `now` without consuming the
   /// delta journal (see MonitorStore::peek). Safe to call between events;
   /// does not perturb the run.
@@ -166,6 +158,9 @@ class JobEngine {
 
   /// Ground-truth pool state — billing/lifecycle invariant checks in tests.
   const CloudPool& cloud() const { return cloud_; }
+  /// Ground-truth task state. tests/oracle/snapshot_oracle.h rebuilds the
+  /// monitoring snapshot from it and cloud() to check the MonitorStore.
+  const FrameworkMaster& framework() const { return framework_; }
   /// The run's fault model (journal + counters). Disabled (and empty) unless
   /// CloudConfig::faults has a nonzero rate.
   const FaultModel& faults() const { return faults_; }

@@ -62,26 +62,7 @@ FaultModel::FaultModel(const FaultConfig& config, std::uint64_t run_seed,
       mem_enabled_(memory.enabled()),
       rng_(util::derive_seed(run_seed, kFaultStream)),
       mem_rng_(util::derive_seed(run_seed, kMemoryStream)),
-      counts_(kFaultKindCount, 0) {
-  WIRE_REQUIRE(memory.instance_mem_mb >= 0.0 && memory.noise_sigma >= 0.0 &&
-                   memory.percentile > 0.0 && memory.percentile <= 1.0 &&
-                   memory.safety_factor > 0.0 && memory.default_mb >= 0.0 &&
-                   memory.min_reservation_mb >= 0.0 &&
-                   memory.upsize_factor >= 1.0,
-               "MemoryConfig knobs out of range");
-  WIRE_REQUIRE(config.crash_rate_per_hour >= 0.0 &&
-                   config.crash_notice_seconds >= 0.0 &&
-                   config.provision_failure_prob >= 0.0 &&
-                   config.provision_failure_prob <= 1.0 &&
-                   config.straggler_prob >= 0.0 &&
-                   config.straggler_prob <= 1.0 &&
-                   config.straggler_lag_multiplier >= 1.0 &&
-                   config.task_failure_prob >= 0.0 &&
-                   config.task_failure_prob <= 1.0 &&
-                   config.monitor_dropout_prob >= 0.0 &&
-                   config.monitor_dropout_prob <= 1.0,
-               "FaultConfig rates out of range");
-}
+      counts_(kFaultKindCount, 0) {}
 
 BootPlan FaultModel::plan_boot() {
   WIRE_CHECK(enabled_, "fault draw on a disabled FaultModel");

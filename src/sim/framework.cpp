@@ -389,43 +389,4 @@ std::vector<TaskId> FrameworkMaster::quarantine(TaskId task) {
   return poisoned;
 }
 
-void FrameworkMaster::fill_observations(
-    SimTime now, std::vector<TaskObservation>& out) const {
-  out.assign(runtimes_.size(), TaskObservation{});
-  for (std::size_t i = 0; i < runtimes_.size(); ++i) {
-    const TaskRuntime& rt = runtimes_[i];
-    TaskObservation& obs = out[i];
-    obs.phase = rt.phase;
-    obs.input_mb = workflow_->task(static_cast<TaskId>(i)).input_mb;
-    obs.attempts = rt.attempts;
-    obs.failed_attempts = rt.failed_attempts;
-    obs.last_failed_elapsed = rt.last_failed_elapsed;
-    obs.oom_attempts = rt.oom_attempts;
-    switch (rt.phase) {
-      case TaskPhase::Pending:
-        break;
-      case TaskPhase::Ready:
-        obs.ready_since = rt.ready_at;
-        break;
-      case TaskPhase::Running:
-        obs.ready_since = rt.ready_at;
-        obs.occupancy_start = rt.occupancy_start;
-        obs.elapsed = now - rt.occupancy_start;
-        obs.elapsed_exec = rt.exec_start >= 0.0 ? now - rt.exec_start : 0.0;
-        obs.transfer_in_time = rt.transfer_in_time;
-        obs.instance = rt.instance;
-        obs.mem_reservation_mb = rt.mem_reservation_mb;
-        obs.checkpointed_exec = rt.ckpt_durable_exec;
-        break;
-      case TaskPhase::Completed:
-        obs.exec_time = rt.exec_time;
-        obs.transfer_time =
-            std::max(0.0, rt.transfer_in_time) +
-            std::max(0.0, rt.transfer_out_time);
-        obs.peak_mem_mb = rt.true_peak_mem_mb;
-        break;
-    }
-  }
-}
-
 }  // namespace wire::sim

@@ -213,12 +213,6 @@ class FrameworkMaster {
   }
   const dag::Workflow& workflow() const { return *workflow_; }
 
-  /// Fills the per-task portion of a monitoring snapshot from scratch — the
-  /// O(total tasks) reference path. The engine's per-tick snapshots come from
-  /// the incrementally maintained MonitorStore instead; the equivalence of
-  /// the two is asserted by tests/test_sim_monitor_store.cpp.
-  void fill_observations(SimTime now, std::vector<TaskObservation>& out) const;
-
   /// Attaches an incremental monitoring store (may be null to detach). The
   /// master notifies it at every observable lifecycle transition; the store's
   /// constructor journals the t = 0 bootstrap (roots fired as Ready) that

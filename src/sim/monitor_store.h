@@ -10,10 +10,10 @@
 // queue) — the active set — instead of O(total tasks). On Epigenomics-L
 // (4005 tasks) with a 12-instance site that is two orders of magnitude.
 //
-// `FrameworkMaster::fill_observations` / `JobEngine::rebuild_snapshot` remain
-// as the from-scratch reference path; tests/test_sim_monitor_store.cpp
-// asserts field-for-field equivalence at every tick over fuzzed runs with
-// restarts, forced drains, and cap changes.
+// The from-scratch reference path lives test-only in
+// tests/oracle/snapshot_oracle.h; tests/test_sim_monitor_store.cpp asserts
+// field-for-field equivalence at every tick over fuzzed runs with restarts,
+// forced drains, and cap changes.
 //
 // The store publishes nothing a policy could not already derive by diffing
 // consecutive snapshots (MonitorDelta documents this), so the honest

@@ -1,8 +1,6 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "util/check.h"
 
@@ -33,40 +31,10 @@ double Rng::lognormal_median(double median, double sigma) {
   return dist(engine_);
 }
 
-double Rng::normal(double mean, double stddev) {
-  WIRE_REQUIRE(stddev >= 0.0, "normal stddev must be non-negative");
-  if (stddev == 0.0) return mean;
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
 bool Rng::bernoulli(double p) {
   WIRE_REQUIRE(p >= 0.0 && p <= 1.0, "bernoulli p out of [0,1]");
   std::bernoulli_distribution dist(p);
   return dist(engine_);
-}
-
-std::uint32_t Rng::zipf(std::uint32_t n, double s) {
-  return ZipfSampler(n, s).sample(*this);
-}
-
-ZipfSampler::ZipfSampler(std::uint32_t n, double s) : n_(n) {
-  WIRE_REQUIRE(n >= 1, "zipf n must be >= 1");
-  WIRE_REQUIRE(s > 0.0, "zipf exponent must be positive");
-  cdf_.resize(n);
-  double total = 0.0;
-  for (std::uint32_t k = 1; k <= n; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k), s);
-    cdf_[k - 1] = total;
-  }
-  for (double& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // guard against rounding
-}
-
-std::uint32_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.uniform(0.0, 1.0);
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint32_t>(it - cdf_.begin()) + 1;
 }
 
 std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream) {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace wire::util {
 
@@ -32,39 +31,14 @@ class Rng {
   /// underlying normal has standard deviation `sigma` (sigma >= 0).
   double lognormal_median(double median, double sigma);
 
-  /// Normal with the given mean and standard deviation.
-  double normal(double mean, double stddev);
-
   /// Bernoulli with probability p of true.
   bool bernoulli(double p);
-
-  /// Zipf-distributed rank in [1, n] with exponent s > 0. Sampled by inverse
-  /// transform over the exact normalized mass function (n is small in all of
-  /// our workloads, so O(n) setup per call pattern is handled by the caller
-  /// via ZipfSampler when performance matters).
-  std::uint32_t zipf(std::uint32_t n, double s);
 
   /// Access to the raw engine for std::shuffle and custom distributions.
   std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;
-};
-
-/// Pre-tabulated Zipf sampler for repeated draws with fixed (n, s).
-class ZipfSampler {
- public:
-  /// Requires n >= 1 and s > 0.
-  ZipfSampler(std::uint32_t n, double s);
-
-  /// Draws a rank in [1, n]; rank 1 is the most probable.
-  std::uint32_t sample(Rng& rng) const;
-
-  std::uint32_t n() const { return n_; }
-
- private:
-  std::uint32_t n_;
-  std::vector<double> cdf_;  // cumulative mass, cdf_.back() == 1.0
 };
 
 /// Derives a statistically independent child seed from a root seed and a

@@ -80,18 +80,6 @@ double RunningStats::max() const {
   return max_;
 }
 
-void MovingMedian::add(double x) {
-  values_.push_back(x);
-  if (window_ != 0 && values_.size() > window_) {
-    values_.pop_front();
-  }
-}
-
-std::optional<double> MovingMedian::value() const {
-  if (values_.empty()) return std::nullopt;
-  return median(std::vector<double>(values_.begin(), values_.end()));
-}
-
 void CdfBuilder::add_all(const std::vector<double>& xs) {
   samples_.insert(samples_.end(), xs.begin(), xs.end());
   sorted_ = false;

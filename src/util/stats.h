@@ -1,15 +1,13 @@
 // Statistics primitives shared across the WIRE libraries.
 //
 // The paper leans on medians ("the median is more effective to capture the
-// middle performance of skewed data distributions", §III-C), moving medians
-// over MAPE intervals, and CDFs of prediction errors (Fig. 4). These helpers
-// implement exactly those notions once so that the predictor, the metrics
-// collectors, and the benches agree on definitions.
+// middle performance of skewed data distributions", §III-C) and CDFs of
+// prediction errors (Fig. 4). These helpers implement exactly those notions
+// once so that the predictor, the metrics collectors, and the benches agree
+// on definitions.
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -52,28 +50,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Moving median over the most recent `window` observations, used for the
-/// paper's \tilde{t}_data transfer-time estimator ("the median of the data
-/// transfer times of the tasks between the (n-1)th and nth MAPE iterations")
-/// generalized to a configurable horizon.
-class MovingMedian {
- public:
-  /// window == 0 means "unbounded": median over everything seen so far.
-  explicit MovingMedian(std::size_t window) : window_(window) {}
-
-  void add(double x);
-
-  /// Median of the current window; nullopt if no observation yet.
-  std::optional<double> value() const;
-
-  std::size_t size() const { return values_.size(); }
-  void clear() { values_.clear(); }
-
- private:
-  std::size_t window_;
-  std::deque<double> values_;
 };
 
 /// Empirical CDF builder. Collects samples, then reports P[X <= x] and

@@ -18,10 +18,6 @@ double stage_volume(double dataset_mb, std::size_t stage_index,
 
 }  // namespace
 
-const char* scale_name(Scale s) {
-  return s == Scale::Small ? "S" : "L";
-}
-
 WorkflowProfile epigenomics_profile(Scale scale) {
   // 8-stage USC Epigenome pipeline: fastQSplit fans out into per-chunk
   // filter/convert/map pipelines which merge back for indexing and pileup.

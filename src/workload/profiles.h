@@ -74,8 +74,6 @@ struct WorkflowProfile {
 /// Small/Large dataset selector (the two columns per workflow in Table I).
 enum class Scale { Small, Large };
 
-const char* scale_name(Scale s);
-
 /// Profiles for the four paper workflows at a given scale.
 WorkflowProfile epigenomics_profile(Scale scale);
 WorkflowProfile tpch1_profile(Scale scale);

@@ -127,89 +127,5 @@ TEST(Clustering, ClusteredRunCompletesAndLengthensTasks) {
   EXPECT_LE(clustered.cost_units, plain.cost_units * 1.5);
 }
 
-TEST(VerticalClustering, CollapsesPipelineChains) {
-  // Epigenomics: 100 per-chunk filter->sol2sanger->fast2bfq->map chains.
-  const Workflow wf = workload::make_workflow(
-      workload::epigenomics_profile(workload::Scale::Small), 7);
-  const ClusteredWorkflow c = cluster_vertical(wf);
-  // Each 4-task chunk chain becomes one job (100 merges), and the serial
-  // maqIndex->pileup pair is a chain too: 405 - 3*100 - 1 = 104 tasks.
-  EXPECT_EQ(c.workflow.task_count(), 104u);
-  EXPECT_EQ(c.merged_jobs, 101u);
-  // Work conserved.
-  EXPECT_NEAR(c.workflow.aggregate_ref_exec_seconds(),
-              wf.aggregate_ref_exec_seconds(), 1e-6);
-  // The absorbed stages vanished (sol2sanger, fast2bfq, map, pileup).
-  EXPECT_EQ(c.workflow.stage_count(), 4u);
-  // All four chain members map to the same job.
-  const TaskId filter0 = wf.stage_tasks(1)[0];
-  TaskId cursor = filter0;
-  for (int hops = 0; hops < 3; ++hops) {
-    ASSERT_EQ(wf.successors(cursor).size(), 1u);
-    cursor = wf.successors(cursor)[0];
-    EXPECT_EQ(c.task_mapping[cursor], c.task_mapping[filter0]);
-  }
-}
-
-TEST(VerticalClustering, ChainEndpointsKeepIoProfile) {
-  dag::WorkflowBuilder builder("chain");
-  const auto s0 = builder.add_stage("a");
-  const auto s1 = builder.add_stage("b");
-  const auto s2 = builder.add_stage("c");
-  const TaskId a = builder.add_task(s0, "a0", 10.0, 4.0, 5.0, {});
-  const TaskId b = builder.add_task(s1, "b0", 4.0, 2.0, 7.0, {a});
-  builder.add_task(s2, "c0", 2.0, 1.0, 3.0, {b});
-  const Workflow wf = builder.build();
-  const ClusteredWorkflow c = cluster_vertical(wf);
-  ASSERT_EQ(c.workflow.task_count(), 1u);
-  const TaskSpec& job = c.workflow.task(0);
-  EXPECT_DOUBLE_EQ(job.ref_exec_seconds, 15.0);
-  EXPECT_DOUBLE_EQ(job.input_mb, 10.0);  // the head's input
-  EXPECT_DOUBLE_EQ(job.output_mb, 1.0);  // the tail's output
-}
-
-TEST(VerticalClustering, FanInAndFanOutBreakChains) {
-  // Diamond: nothing is a 1:1 chain, so the transform is the identity on
-  // structure.
-  dag::WorkflowBuilder builder("diamond");
-  const auto s0 = builder.add_stage("s0");
-  const auto s1 = builder.add_stage("s1");
-  const auto s2 = builder.add_stage("s2");
-  const TaskId a = builder.add_task(s0, "a", 1, 1, 1.0, {});
-  const TaskId b = builder.add_task(s1, "b", 1, 1, 1.0, {a});
-  const TaskId cc = builder.add_task(s1, "c", 1, 1, 1.0, {a});
-  builder.add_task(s2, "d", 1, 1, 1.0, {b, cc});
-  const ClusteredWorkflow c = cluster_vertical(builder.build());
-  EXPECT_EQ(c.workflow.task_count(), 4u);
-  EXPECT_EQ(c.merged_jobs, 0u);
-}
-
-TEST(VerticalClustering, ChainedWorkflowRunsUnderWire) {
-  const Workflow wf = workload::make_workflow(
-      workload::epigenomics_profile(workload::Scale::Small), 7);
-  const ClusteredWorkflow c = cluster_vertical(wf);
-  core::WireController controller;
-  sim::CloudConfig config;
-  config.lag_seconds = 180.0;
-  config.charging_unit_seconds = 900.0;
-  config.slots_per_instance = 4;
-  config.max_instances = 12;
-  config.dispatch_overhead_seconds = 10.0;
-  sim::RunOptions options;
-  options.seed = 3;
-  options.initial_instances = 1;
-  const sim::RunResult chained =
-      sim::simulate(c.workflow, controller, config, options);
-  for (const sim::TaskRuntime& rec : chained.task_records) {
-    EXPECT_EQ(rec.phase, sim::TaskPhase::Completed);
-  }
-  // With per-dispatch overheads, collapsing 300 dispatches must not slow the
-  // run down.
-  core::WireController plain_controller;
-  const sim::RunResult plain =
-      sim::simulate(wf, plain_controller, config, options);
-  EXPECT_LE(chained.makespan, plain.makespan * 1.10);
-}
-
 }  // namespace
 }  // namespace wire::dag

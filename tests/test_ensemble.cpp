@@ -579,7 +579,7 @@ TEST(EnsembleDriver, RejectsMalformedSetups) {
                               site, zero_cap),
                util::ContractViolation);
   // A NaN budget would land in every JobOutcome, a NaN horizon disables the
-  // stuck-site guard, and only the reference loop (0) and the windowed
+  // stuck-site guard, and only the reference mode (0) and the windowed
   // engine (1) exist.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EnsembleOptions nan_budget;

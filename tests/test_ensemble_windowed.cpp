@@ -1,8 +1,10 @@
 // Differential suite for the windowed ensemble engine: its EnsembleReport
-// must be byte-identical to the sequential reference loop's (shards == 0)
-// under fault chaos, memory-aware arbitration, bandit predictor selection,
-// budgets and hundreds of live tenants. With a checkpoint channel the
-// windowed engine is checked against a replay of itself.
+// must be byte-identical to the event-at-a-time reference mode's
+// (shards == 0) under fault chaos, memory-aware arbitration, bandit
+// predictor selection, budgets and hundreds of live tenants. With a
+// checkpoint channel the windowed engine is checked against a replay of
+// itself, and the reference mode against goldens recorded from the separate
+// loop it replaced.
 //
 // Randomized coverage announces its seed via SCOPED_TRACE; WIRE_FUZZ_SEED
 // adds one environment-chosen chaos seed (the CI faults-fuzz job sets it to
@@ -90,10 +92,10 @@ EnsembleReport run_report(const sim::CloudConfig& site,
 }
 
 // ---------------------------------------------------------------------------
-// Differential: windowed vs the sequential reference
+// Differential: windowed vs the event-at-a-time reference
 
 TEST(WindowedDriver, MatchesSequentialReference) {
-  // shards == 0 is the historical event-at-a-time loop; the windowed engine
+  // shards == 0 is the event-at-a-time reference mode; the windowed engine
   // must reproduce its report byte-for-byte (operator== plus the rendered
   // fixed-width table).
   const sim::CloudConfig site = quiet_site();
@@ -462,6 +464,98 @@ void expect_windowed_replays(Channel channel) {
   for (std::size_t k = 0; k < second.samples.size(); ++k) {
     ASSERT_TRUE(same_sample(second.samples[k], first.samples[k]))
         << "first differing site sample #" << k;
+  }
+}
+
+/// FNV-1a over `n` raw bytes, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+std::uint64_t fnv1a_rows(std::uint64_t h,
+                         const std::vector<std::uint32_t>& rows) {
+  const std::uint64_t n = rows.size();
+  h = fnv1a(h, &n, sizeof n);
+  return fnv1a(h, rows.data(), rows.size() * sizeof(std::uint32_t));
+}
+
+/// Digest of a whole site-sample stream: every field of every sample, in
+/// order (times by bit pattern).
+std::uint64_t samples_digest(const std::vector<SiteSample>& samples) {
+  std::uint64_t h = kFnvOffset;
+  for (const SiteSample& s : samples) {
+    h = fnv1a(h, &s.now, sizeof s.now);
+    h = fnv1a(h, &s.site_cap, sizeof s.site_cap);
+    h = fnv1a(h, &s.live_total, sizeof s.live_total);
+    h = fnv1a_rows(h, s.jobs);
+    h = fnv1a_rows(h, s.live);
+    h = fnv1a_rows(h, s.shares);
+  }
+  return h;
+}
+
+/// What the event-at-a-time reference loop (shards == 0) produced on the
+/// wide site before it became a mode of the windowed loop: the digest of
+/// EnsembleReport::render(), the report's closing summary lines verbatim,
+/// and the count and digest of the site-sample stream.
+struct ReferenceGolden {
+  Channel channel;
+  const char* name;
+  std::uint64_t render_digest;
+  const char* render_tail;
+  std::size_t samples;
+  std::uint64_t samples_digest;
+};
+
+/// render()'s lines after the per-job table: horizon, faults, budget.
+std::string render_tail(const std::string& render) {
+  const std::size_t at = render.find("horizon ");
+  return at == std::string::npos ? std::string() : render.substr(at);
+}
+
+TEST(WideSite, ReferenceLoopMatchesRecordedGoldens) {
+  // The staggered and diluted cases are not covered by the windowed
+  // differential (the two modes differ there), so these pins are what keep
+  // the reference mode's behaviour fixed.
+  const ReferenceGolden goldens[] = {
+      {Channel::Off, "off", 0xa22eab1c2329eda4ull,
+       "horizon 3257.5 s, total cost 336.00 units, site utilization 0.4730, "
+       "allocation ratio 0.7443, throughput 353.645 jobs/h, mean wait 609.4 "
+       "s, slowdown mean 0.000 / max 0.000\n"
+       "faults: task faults 1183, instance crashes 16, quarantined tasks 76\n"
+       "budget: 0/320 jobs over budget, total overrun 0.00 units\n",
+       75535, 0xed0ae9c004bb3b23ull},
+      {Channel::Staggered, "staggered", 0x8fc842d8e3c1c244ull,
+       "horizon 3260.9 s, total cost 336.00 units, site utilization 0.4728, "
+       "allocation ratio 0.7441, throughput 353.277 jobs/h, mean wait 610.2 "
+       "s, slowdown mean 0.000 / max 0.000\n"
+       "faults: task faults 1184, instance crashes 16, quarantined tasks 76\n"
+       "budget: 0/320 jobs over budget, total overrun 0.00 units\n",
+       75719, 0xb3cb88338ed393a2ull},
+      {Channel::Diluted, "diluted", 0xb25b9e06c0c10d58ull,
+       "horizon 4010.7 s, total cost 340.00 units, site utilization 0.4764, "
+       "allocation ratio 0.7700, throughput 287.230 jobs/h, mean wait 886.1 "
+       "s, slowdown mean 0.000 / max 0.000\n"
+       "faults: task faults 1167, instance crashes 20, quarantined tasks 171\n"
+       "budget: 0/320 jobs over budget, total overrun 0.00 units\n",
+       84908, 0x6a1fe500a201e824ull},
+  };
+  for (const ReferenceGolden& g : goldens) {
+    SCOPED_TRACE(std::string("channel=") + g.name);
+    const RecordedRun run = run_wide_site(g.channel, /*shards=*/0);
+    const std::string render = run.report.render();
+    EXPECT_EQ(fnv1a(kFnvOffset, render.data(), render.size()),
+              g.render_digest);
+    EXPECT_EQ(render_tail(render), g.render_tail);
+    EXPECT_EQ(run.samples.size(), g.samples);
+    EXPECT_EQ(samples_digest(run.samples), g.samples_digest);
   }
 }
 

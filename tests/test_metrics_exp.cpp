@@ -21,17 +21,6 @@ TEST(Metrics, ErrorDefinitionsMatchThePaper) {
                util::ContractViolation);
 }
 
-TEST(Metrics, NormalizeToBest) {
-  const auto normalized = metrics::normalize_to_best({30.0, 15.0, 45.0});
-  ASSERT_EQ(normalized.size(), 3u);
-  EXPECT_DOUBLE_EQ(normalized[0], 2.0);
-  EXPECT_DOUBLE_EQ(normalized[1], 1.0);
-  EXPECT_DOUBLE_EQ(normalized[2], 3.0);
-  EXPECT_THROW(metrics::normalize_to_best({}), util::ContractViolation);
-  EXPECT_THROW(metrics::normalize_to_best({0.0, 1.0}),
-               util::ContractViolation);
-}
-
 TEST(Metrics, CellStatsAggregates) {
   metrics::CellStats stats;
   sim::RunResult r;

@@ -111,8 +111,6 @@ TEST(Profiles, RegistryOrderAndNaming) {
     EXPECT_FALSE(all[i].stages.empty());
     EXPECT_FALSE(all[i].framework.empty());
   }
-  EXPECT_STREQ(workload::scale_name(workload::Scale::Small), "S");
-  EXPECT_STREQ(workload::scale_name(workload::Scale::Large), "L");
 }
 
 TEST(Profiles, StageLinkDisciplineHolds) {

@@ -315,17 +315,6 @@ TEST(Driver, PoolTimelineSamplesEveryControlTick) {
   EXPECT_TRUE(simulate(wf, p2, exact_cloud(60.0), without).pool_timeline.empty());
 }
 
-TEST(Driver, InvalidConfigurationThrows) {
-  const dag::Workflow wf = workload::linear_workflow(1, 1, 1.0);
-  policies::StaticPolicy policy(1);
-  CloudConfig config = exact_cloud(900.0);
-  config.lag_seconds = 0.0;
-  EXPECT_THROW(simulate(wf, policy, config), util::ContractViolation);
-  config = exact_cloud(900.0);
-  config.slots_per_instance = 0;
-  EXPECT_THROW(simulate(wf, policy, config), util::ContractViolation);
-}
-
 TEST(Driver, CostEqualsPerInstanceCeilings) {
   // 4 tasks of 1000 s on one 4-slot instance, u = 900: alive 1000 s -> 2
   // units exactly.

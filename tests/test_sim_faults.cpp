@@ -8,7 +8,7 @@
 //     charged, crashed/terminated instances stop accruing at their
 //     termination time, and the run's cost is exactly the per-instance sum;
 //   - the incremental MonitorStore matches the from-scratch
-//     JobEngine::rebuild_snapshot field-for-field after every injected fault;
+//     oracle::rebuild_snapshot field-for-field after every injected fault;
 //   - identical seeds reproduce identical FaultTraces byte-for-byte;
 //   - retry/backoff/quarantine semantics are exact for deterministic rates;
 //   - WIRE's steering survives fault injection without stranding a workflow;
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/controller.h"
+#include "oracle/snapshot_oracle.h"
 #include "policies/baselines.h"
 #include "predict/task_predictor.h"
 #include "sim/driver.h"
@@ -204,7 +205,8 @@ std::string run_chaos(std::uint64_t seed, RunResult* out = nullptr) {
     ++steps;
     if (engine.done()) break;
     SCOPED_TRACE("after event at t=" + std::to_string(t));
-    expect_snapshot_eq(engine.peek_monitor(t), engine.rebuild_snapshot(t));
+    expect_snapshot_eq(engine.peek_monitor(t),
+                       oracle::rebuild_snapshot(engine, config, t));
   }
 
   RunResult r = engine.result();
@@ -339,7 +341,8 @@ TEST(Faults, TotalMonitorDropoutStillCompletes) {
     engine.step();
     if (engine.done()) break;
     SCOPED_TRACE("after event at t=" + std::to_string(t));
-    expect_snapshot_eq(engine.peek_monitor(t), engine.rebuild_snapshot(t));
+    expect_snapshot_eq(engine.peek_monitor(t),
+                       oracle::rebuild_snapshot(engine, config, t));
   }
   const RunResult r = engine.result();
   EXPECT_TRUE(r.quarantined_tasks.empty());

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dag/workflow.h"
+#include "oracle/snapshot_oracle.h"
 #include "sim/framework.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -193,7 +194,7 @@ TEST(FrameworkMaster, ObservationsMirrorLifecycle) {
   fm.on_transfer_in_done(t, 12.0);
 
   std::vector<TaskObservation> obs;
-  fm.fill_observations(20.0, obs);
+  oracle::fill_observations(fm, 20.0, obs);
   ASSERT_EQ(obs.size(), 3u);
   EXPECT_EQ(obs[t].phase, TaskPhase::Running);
   EXPECT_DOUBLE_EQ(obs[t].elapsed, 10.0);
@@ -205,7 +206,7 @@ TEST(FrameworkMaster, ObservationsMirrorLifecycle) {
   // Completed record carries the kickstart fields.
   fm.on_exec_done(t, 15.0);
   fm.on_complete(t, 16.0);
-  fm.fill_observations(20.0, obs);
+  oracle::fill_observations(fm, 20.0, obs);
   EXPECT_EQ(obs[t].phase, TaskPhase::Completed);
   EXPECT_DOUBLE_EQ(obs[t].exec_time, 3.0);
   EXPECT_DOUBLE_EQ(obs[t].transfer_time, 3.0);  // 2 in + 1 out

@@ -2,8 +2,8 @@
 //
 // The store is correct iff, at any observation point, the snapshot it
 // maintains in O(changes) is field-for-field identical to the from-scratch
-// O(total tasks) reconstruction (`JobEngine::rebuild_snapshot`, the seed
-// implementation kept as the reference path). These tests drive fuzzed
+// O(total tasks) reconstruction (`oracle::rebuild_snapshot` in
+// tests/oracle/snapshot_oracle.h, the seed implementation kept test-only). These tests drive fuzzed
 // random_layered() runs through a chaos policy that restarts tasks
 // (immediate releases), drains instances at charge boundaries, cancels
 // drains, and suffers external cap changes — and assert the equivalence at
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "exp/settings.h"
+#include "oracle/snapshot_oracle.h"
 #include "predict/memory_predictor.h"
 #include "predict/task_predictor.h"
 #include "sim/driver.h"
@@ -113,8 +114,9 @@ class ChaosProbePolicy final : public ScalingPolicy {
   std::string name() const override { return "chaos-probe"; }
 
   void on_run_start(const dag::Workflow& workflow,
-                    const CloudConfig& /*config*/) override {
+                    const CloudConfig& config) override {
     workflow_ = &workflow;
+    config_ = config;
     predictor_ = std::make_unique<predict::TaskPredictor>(workflow);
     predictor_refits_ = 0;
     // Baseline for the first delta: the engine's bootstrap state (roots
@@ -140,7 +142,8 @@ class ChaosProbePolicy final : public ScalingPolicy {
   void verify_against_rebuild(const MonitorSnapshot& snapshot) {
     ASSERT_NE(engine_, nullptr);
     SCOPED_TRACE("control tick at t=" + std::to_string(snapshot.now));
-    expect_snapshot_eq(snapshot, engine_->rebuild_snapshot(snapshot.now));
+    expect_snapshot_eq(
+        snapshot, oracle::rebuild_snapshot(*engine_, config_, snapshot.now));
   }
 
   /// Refit batching under restart churn: however bursty the tick's delta
@@ -328,6 +331,7 @@ class ChaosProbePolicy final : public ScalingPolicy {
   util::Rng rng_;
   const JobEngine* engine_ = nullptr;
   const dag::Workflow* workflow_ = nullptr;
+  CloudConfig config_;
   std::unique_ptr<predict::TaskPredictor> predictor_;
   std::uint64_t predictor_refits_ = 0;
   bool benign_ = false;
@@ -352,7 +356,8 @@ TEST_P(MonitorStoreFuzz, StoreMatchesRebuildUnderChaos) {
   options.initial_instances = 1;
   options.max_sim_seconds = 3.0e7;
 
-  JobEngine engine(wf, policy, fuzz_cloud(), options);
+  const CloudConfig cloud = fuzz_cloud();
+  JobEngine engine(wf, policy, cloud, options);
   policy.bind(&engine);
   engine.start();
 
@@ -378,7 +383,8 @@ TEST_P(MonitorStoreFuzz, StoreMatchesRebuildUnderChaos) {
     // from-scratch rebuild between ticks too, not just when a control tick
     // publishes the journal.
     SCOPED_TRACE("after event at t=" + std::to_string(t));
-    expect_snapshot_eq(engine.peek_monitor(t), engine.rebuild_snapshot(t));
+    expect_snapshot_eq(engine.peek_monitor(t),
+                       oracle::rebuild_snapshot(engine, cloud, t));
   }
 
   const RunResult r = engine.result();

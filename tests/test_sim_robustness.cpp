@@ -2,17 +2,28 @@
 // policies without corrupting state — nonsense instance ids, releases of
 // provisioning instances, duplicate releases, oversized grow requests,
 // oscillating commands. Every task must still complete and billing must stay
-// consistent.
+// consistent. A CloudConfig out of range is refused up front, by the
+// single-job engine and the ensemble driver alike.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "ensemble/arrival.h"
+#include "ensemble/driver.h"
+#include "exp/settings.h"
 #include "policies/baselines.h"
 #include "sim/driver.h"
 #include "sim/engine.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "workload/generators.h"
+#include "workload/profiles.h"
 
 namespace wire::sim {
 namespace {
@@ -208,6 +219,164 @@ TEST(Robustness, StuckPolicyHitsTheTimeGuard) {
   options.max_sim_seconds = 10000.0;
   EXPECT_THROW(simulate(wf, policy, small_cloud(), options),
                std::runtime_error);
+}
+
+/// One out-of-range CloudConfig knob.
+struct BadCloud {
+  std::string name;
+  std::function<void(CloudConfig&)> mutate;
+};
+
+void PrintTo(const BadCloud& bad, std::ostream* os) { *os << bad.name; }
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+std::vector<BadCloud> bad_clouds() {
+  std::vector<BadCloud> bad = {
+      // An infinite lag makes the lookahead horizon infinite and its boot
+      // loop read past the end of its list.
+      {"lag_inf", [](CloudConfig& c) { c.lag_seconds = kInf; }},
+      {"lag_nan", [](CloudConfig& c) { c.lag_seconds = kNaN; }},
+      {"lag_zero", [](CloudConfig& c) { c.lag_seconds = 0.0; }},
+      {"unit_inf", [](CloudConfig& c) { c.charging_unit_seconds = kInf; }},
+      {"unit_nan", [](CloudConfig& c) { c.charging_unit_seconds = kNaN; }},
+      {"unit_negative",
+       [](CloudConfig& c) { c.charging_unit_seconds = -900.0; }},
+      {"no_slots", [](CloudConfig& c) { c.slots_per_instance = 0; }},
+      // A NaN latency never finishes; a negative one speeds transfers up.
+      {"latency_nan",
+       [](CloudConfig& c) { c.variability.transfer_latency_seconds = kNaN; }},
+      {"latency_negative",
+       [](CloudConfig& c) {
+         c.variability.transfer_latency_seconds = -1000.0;
+       }},
+      {"latency_inf",
+       [](CloudConfig& c) { c.variability.transfer_latency_seconds = kInf; }},
+      {"dispatch_overhead_nan",
+       [](CloudConfig& c) { c.dispatch_overhead_seconds = kNaN; }},
+      {"dispatch_overhead_negative",
+       [](CloudConfig& c) { c.dispatch_overhead_seconds = -1.0; }},
+      {"aggregate_bandwidth_nan",
+       [](CloudConfig& c) {
+         c.variability.aggregate_bandwidth_mb_per_s = kNaN;
+       }},
+      {"aggregate_bandwidth_negative",
+       [](CloudConfig& c) {
+         c.variability.aggregate_bandwidth_mb_per_s = -1.0;
+       }},
+      {"aggregate_bandwidth_inf",
+       [](CloudConfig& c) {
+         c.variability.aggregate_bandwidth_mb_per_s = kInf;
+       }},
+      {"link_bandwidth_zero",
+       [](CloudConfig& c) { c.variability.bandwidth_mb_per_s = 0.0; }},
+      {"link_bandwidth_nan",
+       [](CloudConfig& c) { c.variability.bandwidth_mb_per_s = kNaN; }},
+      {"link_bandwidth_inf",
+       [](CloudConfig& c) { c.variability.bandwidth_mb_per_s = kInf; }},
+      {"restart_cost_nan",
+       [](CloudConfig& c) { c.restart_cost_fraction = kNaN; }},
+      {"restart_cost_negative",
+       [](CloudConfig& c) { c.restart_cost_fraction = -0.2; }},
+      {"restart_cost_inf",
+       [](CloudConfig& c) { c.restart_cost_fraction = kInf; }},
+      {"checkpoint_fraction_above_one",
+       [](CloudConfig& c) { c.checkpoint_fraction = 1.5; }},
+      {"checkpoint_fraction_negative",
+       [](CloudConfig& c) { c.checkpoint_fraction = -0.1; }},
+      {"checkpoint_fraction_nan",
+       [](CloudConfig& c) { c.checkpoint_fraction = kNaN; }},
+      {"retry_attempts_zero", [](CloudConfig& c) { c.retry.max_attempts = 0; }},
+      {"retry_backoff_nan",
+       [](CloudConfig& c) { c.retry.backoff_base_seconds = kNaN; }},
+      {"retry_backoff_negative",
+       [](CloudConfig& c) { c.retry.backoff_base_seconds = -30.0; }},
+      {"retry_backoff_inf",
+       [](CloudConfig& c) { c.retry.backoff_base_seconds = kInf; }},
+      {"retry_factor_nan",
+       [](CloudConfig& c) { c.retry.backoff_factor = kNaN; }},
+      {"retry_factor_negative",
+       [](CloudConfig& c) { c.retry.backoff_factor = -2.0; }},
+      {"fault_probability_above_one",
+       [](CloudConfig& c) { c.faults.task_failure_prob = 1.5; }},
+      {"fault_rate_negative",
+       [](CloudConfig& c) { c.faults.crash_rate_per_hour = -1.0; }},
+      {"memory_percentile_zero",
+       [](CloudConfig& c) { c.memory.percentile = 0.0; }},
+  };
+  // Every lognormal sigma, NaN, negative and infinite.
+  const std::vector<std::pair<const char*, double VariabilityConfig::*>>
+      sigmas = {{"instance_speed", &VariabilityConfig::instance_speed_sigma},
+                {"interference", &VariabilityConfig::interference_sigma},
+                {"run_speed", &VariabilityConfig::run_speed_sigma},
+                {"transfer_noise", &VariabilityConfig::transfer_noise_sigma}};
+  const std::pair<const char*, double> values[] = {
+      {"_nan", kNaN}, {"_negative", -0.1}, {"_inf", kInf}};
+  for (const auto& [suffix, value] : values) {
+    for (const auto& [name, field] : sigmas) {
+      bad.push_back({std::string(name) + "_sigma" + suffix,
+                     [field = field, value = value](CloudConfig& c) {
+                       c.variability.*field = value;
+                     }});
+    }
+    bad.push_back({std::string("memory_noise_sigma") + suffix,
+                   [value = value](CloudConfig& c) {
+                     c.memory.noise_sigma = value;
+                   }});
+  }
+  return bad;
+}
+
+class CloudConfigValidation : public ::testing::TestWithParam<BadCloud> {};
+
+TEST_P(CloudConfigValidation, BothConstructorsRejectTheValue) {
+  CloudConfig cloud = exp::paper_cloud(900.0);
+  GetParam().mutate(cloud);
+  EXPECT_THROW(cloud.validate(), util::ContractViolation);
+
+  const dag::Workflow wf = workload::linear_workflow(1, 4, 100.0);
+  policies::PureReactivePolicy policy;
+  EXPECT_THROW(JobEngine(wf, policy, cloud, RunOptions{}),
+               util::ContractViolation);
+
+  std::vector<ensemble::JobArrival> trace(1);
+  EXPECT_THROW(
+      ensemble::EnsembleDriver(
+          {workload::tpch6_profile(workload::Scale::Small)},
+          ensemble::ArrivalProcess::fixed_trace(std::move(trace)),
+          exp::sharded_policy_factory(exp::PolicyKind::PureReactive), cloud),
+      util::ContractViolation);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OutOfRange, CloudConfigValidation, ::testing::ValuesIn(bad_clouds()),
+    [](const ::testing::TestParamInfo<BadCloud>& info) {
+      return info.param.name;
+    });
+
+TEST(CloudConfigValidation, PaperCloudsAndBoundaryValuesAreAccepted) {
+  std::vector<CloudConfig> good;
+  for (const double u : {60.0, 900.0, 1800.0, 3600.0}) {
+    good.push_back(exp::paper_cloud(u));
+  }
+  good.push_back(CloudConfig{});
+  CloudConfig edges;
+  edges.variability.instance_speed_sigma = 0.0;
+  edges.variability.interference_sigma = 0.0;
+  edges.variability.transfer_noise_sigma = 0.0;
+  edges.variability.transfer_latency_seconds = 0.0;
+  edges.restart_cost_fraction = 0.0;
+  edges.checkpoint_fraction = 1.0;
+  edges.retry.backoff_base_seconds = 0.0;
+  edges.retry.backoff_factor = 0.0;
+  good.push_back(edges);
+  const dag::Workflow wf = workload::linear_workflow(1, 4, 100.0);
+  policies::PureReactivePolicy policy;
+  for (const CloudConfig& cloud : good) {
+    EXPECT_NO_THROW(cloud.validate());
+    EXPECT_NO_THROW(JobEngine(wf, policy, cloud, RunOptions{}));
+  }
 }
 
 }  // namespace

@@ -67,23 +67,6 @@ TEST(Rng, InvalidArgumentsThrow) {
   EXPECT_THROW(rng.bernoulli(1.5), ContractViolation);
 }
 
-TEST(ZipfSampler, RankOneIsMostProbable) {
-  ZipfSampler zipf(10, 1.0);
-  Rng rng(19);
-  std::vector<int> counts(11, 0);
-  for (int i = 0; i < 20000; ++i) ++counts[zipf.sample(rng)];
-  EXPECT_GT(counts[1], counts[2]);
-  EXPECT_GT(counts[2], counts[5]);
-  EXPECT_GT(counts[5], counts[10]);
-  EXPECT_EQ(counts[0], 0);  // ranks start at 1
-}
-
-TEST(ZipfSampler, SingleElementAlwaysOne) {
-  ZipfSampler zipf(1, 2.0);
-  Rng rng(23);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.sample(rng), 1u);
-}
-
 TEST(DeriveSeed, DistinctStreamsDistinctSeeds) {
   std::set<std::uint64_t> seeds;
   for (std::uint64_t s = 0; s < 1000; ++s) {

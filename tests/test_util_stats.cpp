@@ -1,5 +1,5 @@
-// Unit tests for the statistics primitives (medians, quantiles, moving
-// medians, CDFs) that the predictor and the metric collectors rely on.
+// Unit tests for the statistics primitives (medians, quantiles, running
+// moments, CDFs) that the predictor and the metric collectors rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -68,26 +68,6 @@ TEST(RunningStats, EmptyThrows) {
   EXPECT_TRUE(rs.empty());
   EXPECT_THROW(rs.mean(), ContractViolation);
   EXPECT_THROW(rs.stddev(), ContractViolation);
-}
-
-TEST(MovingMedian, WindowSlides) {
-  MovingMedian mm(3);
-  EXPECT_FALSE(mm.value().has_value());
-  mm.add(1.0);
-  EXPECT_DOUBLE_EQ(*mm.value(), 1.0);
-  mm.add(100.0);
-  EXPECT_DOUBLE_EQ(*mm.value(), 50.5);
-  mm.add(2.0);
-  EXPECT_DOUBLE_EQ(*mm.value(), 2.0);
-  mm.add(3.0);  // evicts 1.0; window = {100, 2, 3}
-  EXPECT_DOUBLE_EQ(*mm.value(), 3.0);
-}
-
-TEST(MovingMedian, UnboundedWindowKeepsEverything) {
-  MovingMedian mm(0);
-  for (int i = 1; i <= 101; ++i) mm.add(static_cast<double>(i));
-  EXPECT_EQ(mm.size(), 101u);
-  EXPECT_DOUBLE_EQ(*mm.value(), 51.0);
 }
 
 TEST(CdfBuilder, FractionAtMost) {
