@@ -16,6 +16,7 @@
 #include "core/steering.h"
 #include "exp/settings.h"
 #include "predict/task_predictor.h"
+#include "rejected_input.h"
 #include "sim/driver.h"
 #include "workload/generators.h"
 
@@ -115,7 +116,7 @@ void run(sim::ScalingPolicy& policy, const dag::Workflow& wf) {
 
 }  // namespace
 
-int main() {
+int main() try {
   workload::RandomDagOptions dag_options;
   dag_options.min_layers = 4;
   dag_options.max_layers = 6;
@@ -137,4 +138,8 @@ int main() {
       "full provisioning cycle behind every width change. Stock WIRE sits\n"
       "between them by design.\n");
   return 0;
+} catch (const wire::util::ContractViolation& e) {
+  return wire::examples::reject(e);
+} catch (const wire::dag::DaxParseError& e) {
+  return wire::examples::reject(e);
 }

@@ -9,9 +9,10 @@
 #include "ensemble/driver.h"
 #include "ensemble/report.h"
 #include "exp/settings.h"
+#include "rejected_input.h"
 #include "workload/profiles.h"
 
-int main() {
+int main() try {
   using namespace wire;
 
   // 1. The workflow catalogue jobs are drawn from: three Table-I profiles.
@@ -46,4 +47,8 @@ int main() {
     std::printf("%s\n", report.render().c_str());
   }
   return 0;
+} catch (const wire::util::ContractViolation& e) {
+  return wire::examples::reject(e);
+} catch (const wire::dag::DaxParseError& e) {
+  return wire::examples::reject(e);
 }

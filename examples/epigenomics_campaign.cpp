@@ -15,11 +15,12 @@
 #include "dag/analysis.h"
 #include "dag/serialize.h"
 #include "exp/settings.h"
+#include "rejected_input.h"
 #include "sim/driver.h"
 #include "workload/generators.h"
 #include "workload/profiles.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace wire;
 
   const bool large = argc > 1 && std::strcmp(argv[1], "large") == 0;
@@ -86,4 +87,8 @@ int main(int argc, char** argv) {
       "is inherently limited when u is long relative to task runtimes\n"
       "(paper §IV-A, Figure 3).\n");
   return 0;
+} catch (const wire::util::ContractViolation& e) {
+  return wire::examples::reject(e);
+} catch (const wire::dag::DaxParseError& e) {
+  return wire::examples::reject(e);
 }

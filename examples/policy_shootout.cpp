@@ -17,12 +17,13 @@
 #include "exp/runner.h"
 #include "exp/settings.h"
 #include "policies/budget.h"
+#include "rejected_input.h"
 #include "sim/driver.h"
 #include "util/table.h"
 #include "workload/generators.h"
 #include "workload/profiles.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace wire;
 
   const std::string which = argc > 1 ? argv[1] : "tpch1";
@@ -116,4 +117,8 @@ int main(int argc, char** argv) {
   std::printf("\n=== wire under a hard spend cap (1 min unit) ===\n\n%s",
               budget_table.render().c_str());
   return 0;
+} catch (const wire::util::ContractViolation& e) {
+  return wire::examples::reject(e);
+} catch (const wire::dag::DaxParseError& e) {
+  return wire::examples::reject(e);
 }

@@ -13,11 +13,12 @@
 #include "dag/analysis.h"
 #include "exp/settings.h"
 #include "policies/baselines.h"
+#include "rejected_input.h"
 #include "sim/driver.h"
 #include "workload/generators.h"
 #include "workload/profiles.h"
 
-int main() {
+int main() try {
   using namespace wire;
 
   // 1. A workload: the paper's TPCH-1 Small run (62 tasks, 4 stages).
@@ -62,4 +63,8 @@ int main() {
       static_run.cost_units / wire_run.cost_units,
       wire_run.makespan / static_run.makespan);
   return 0;
+} catch (const wire::util::ContractViolation& e) {
+  return wire::examples::reject(e);
+} catch (const wire::dag::DaxParseError& e) {
+  return wire::examples::reject(e);
 }

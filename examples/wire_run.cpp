@@ -25,6 +25,7 @@
 #include "exp/settings.h"
 #include "metrics/export.h"
 #include "policies/baselines.h"
+#include "rejected_input.h"
 #include "sim/driver.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -97,7 +98,7 @@ std::unique_ptr<sim::ScalingPolicy> named_policy(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::string workflow_name = "tpch1-s";
   std::string dag_file;
   std::string dax_file;
@@ -164,6 +165,7 @@ int main(int argc, char** argv) {
   config.lag_seconds = lag;
   config.slots_per_instance = slots;
   config.max_instances = max_instances;
+  config.validate();
 
   std::printf("workflow %s: %zu tasks / %zu stages; policy %s; u=%.0fs "
               "lag=%.0fs slots=%u cap=%u\n\n",
@@ -234,4 +236,8 @@ int main(int argc, char** argv) {
     std::printf("\nsummaries appended to %s\n", summary_path.c_str());
   }
   return 0;
+} catch (const wire::util::ContractViolation& e) {
+  return wire::examples::reject(e);
+} catch (const wire::dag::DaxParseError& e) {
+  return wire::examples::reject(e);
 }

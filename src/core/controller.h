@@ -140,10 +140,6 @@ class WireController final : public sim::ScalingPolicy {
   /// estimator is oracle/history). Valid between on_run_start and run end.
   const predict::BanditSelector* bandit() const { return selector_.get(); }
 
-  /// Algorithm 3's unclamped planned pool size from the last plan() call
-  /// (0 until the first tick).
-  std::uint32_t last_planned_pool() const { return last_planned_pool_; }
-
   /// Controller state footprint in bytes (§IV-F overhead accounting).
   std::size_t state_bytes() const;
 
@@ -175,6 +171,9 @@ class WireController final : public sim::ScalingPolicy {
   std::uint64_t hazard_crashes_ = 0;
   std::uint64_t hazard_pending_releases_ = 0;
   sim::SimTime hazard_mark_ = 0.0;
+  /// Algorithm 3's unclamped planned pool from the last plan(). Nothing
+  /// reads it; it goes when core.state_bytes stops being checked exactly
+  /// (ROADMAP, benchmark revision).
   std::uint32_t last_planned_pool_ = 0;
 };
 

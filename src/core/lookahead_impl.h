@@ -95,8 +95,14 @@ struct EmissionCap {
 /// always live (never memoized): the memory predictor's percentile sizing is
 /// O(1) per call, so memoizing it would buy nothing and would entangle the
 /// memory dimension with the occupancy memo's revision contract.
+///
+/// Flattened: at -O2, gcc's max-inline-insns-single limit leaves the busy
+/// heap's pop_heap/push_back, Alg3Packer and the emission-buffer
+/// emplace_backs out of line in this loop, which makes the cached tick about
+/// 1.5x slower (bench_overhead's cached/scratch ratio ~0.3 instead of ~0.2
+/// at RelWithDebInfo, against its 0.25 bound).
 template <typename RemainingOcc, typename FreshOcc, typename MemOf>
-void simulate_interval_impl(const dag::Workflow& workflow,
+[[gnu::flatten]] void simulate_interval_impl(const dag::Workflow& workflow,
                             const sim::MonitorSnapshot& snapshot,
                             const sim::CloudConfig& config,
                             std::vector<std::uint32_t>& remaining_preds,

@@ -44,7 +44,7 @@ ClusteredWorkflow cluster_horizontal(const Workflow& workflow,
       }
       std::string name;
       if (end - start == 1) {
-        name = workflow.task(members[start]).name;
+        name = workflow.task_name(members[start]);
       } else {
         name = "cluster_" + stage.name + "_" + std::to_string(start / factor);
         ++merged;

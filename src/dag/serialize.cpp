@@ -56,8 +56,9 @@ void write_workflow(std::ostream& os, const Workflow& wf) {
   }
   os.precision(17);
   for (const TaskSpec& t : wf.tasks()) {
-    os << "task " << t.id << ' ' << t.stage << ' ' << escape_token(t.name)
-       << ' ' << t.input_mb << ' ' << t.output_mb << ' ' << t.ref_exec_seconds;
+    os << "task " << t.id << ' ' << t.stage << ' '
+       << escape_token(wf.task_name(t.id)) << ' ' << t.input_mb << ' '
+       << t.output_mb << ' ' << t.ref_exec_seconds;
     const auto preds = wf.predecessors(t.id);
     os << ' ' << preds.size();
     for (TaskId p : preds) os << ' ' << p;

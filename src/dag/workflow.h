@@ -7,10 +7,18 @@
 // input/output data sizes and a reference execution time. Actual runtimes are
 // produced by the ground-truth simulator's variability model (src/sim/), never
 // read from the DAG by the controller.
+//
+// A Workflow is two parts. Its graph — the name, stages, task names,
+// dependencies, stage membership, roots, sinks and topological order — is
+// immutable and shared: copies of a workflow, and every workflow made from
+// it by with_tasks(), point at the same graph. Its TaskSpecs — each task's
+// declared numbers — belong to the instance. Many instances of one workflow
+// type (an ensemble's tenants, say) thus pay for the graph once.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,11 +31,11 @@ using StageId = std::uint32_t;
 inline constexpr TaskId kInvalidTask = std::numeric_limits<TaskId>::max();
 inline constexpr StageId kInvalidStage = std::numeric_limits<StageId>::max();
 
-/// Declared (static) description of one task.
+/// Declared (static) description of one task. Its name lives in the graph
+/// (Workflow::task_name).
 struct TaskSpec {
   TaskId id = kInvalidTask;
   StageId stage = kInvalidStage;
-  std::string name;
   /// Input data size in MB — the feature of the paper's OGD model (Eq. 1).
   double input_mb = 0.0;
   /// Output data size in MB — drives the successor's transfer-in time.
@@ -52,12 +60,13 @@ struct StageSpec {
 /// Immutable, validated workflow DAG. Construct via WorkflowBuilder.
 class Workflow {
  public:
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return graph_->name; }
 
   std::size_t task_count() const { return tasks_.size(); }
-  std::size_t stage_count() const { return stages_.size(); }
+  std::size_t stage_count() const { return graph_->stages.size(); }
 
   const TaskSpec& task(TaskId id) const;
+  const std::string& task_name(TaskId id) const;
   const StageSpec& stage(StageId id) const;
 
   /// Direct predecessors / successors in dependency order (stable).
@@ -68,12 +77,12 @@ class Workflow {
   std::span<const TaskId> stage_tasks(StageId id) const;
 
   /// Tasks with no predecessors / no successors.
-  std::span<const TaskId> roots() const { return roots_; }
-  std::span<const TaskId> sinks() const { return sinks_; }
+  std::span<const TaskId> roots() const { return graph_->roots; }
+  std::span<const TaskId> sinks() const { return graph_->sinks; }
 
   /// A valid topological order of all tasks (deterministic: Kahn's algorithm
   /// with a min-id tie break).
-  const std::vector<TaskId>& topological_order() const { return topo_; }
+  const std::vector<TaskId>& topological_order() const { return graph_->topo; }
 
   /// Sum of the reference execution times of all tasks (seconds) — the
   /// paper's "aggregate task execution time" column in Table I.
@@ -85,21 +94,33 @@ class Workflow {
 
   /// All tasks, for iteration.
   std::span<const TaskSpec> tasks() const { return tasks_; }
-  std::span<const StageSpec> stages() const { return stages_; }
+  std::span<const StageSpec> stages() const { return graph_->stages; }
+
+  /// A workflow on this one's graph (shared, not copied) with `tasks` as its
+  /// task numbers. `tasks[i]` must carry id i, the stage of task i and
+  /// non-negative numbers, as WorkflowBuilder::add_task requires.
+  Workflow with_tasks(std::vector<TaskSpec> tasks) const;
 
  private:
   friend class WorkflowBuilder;
-  Workflow() = default;
 
-  std::string name_;
+  /// The seed-independent part, shared by every copy and with_tasks().
+  struct Graph {
+    std::string name;
+    std::vector<StageSpec> stages;
+    std::vector<std::string> task_names;
+    // CSR-style adjacency (predecessors and successors).
+    std::vector<std::uint32_t> pred_offsets, succ_offsets;
+    std::vector<TaskId> pred_edges, succ_edges;
+    std::vector<std::uint32_t> stage_offsets;
+    std::vector<TaskId> stage_members;
+    std::vector<TaskId> roots, sinks, topo;
+  };
+
+  Workflow(std::shared_ptr<const Graph> graph, std::vector<TaskSpec> tasks);
+
+  std::shared_ptr<const Graph> graph_;
   std::vector<TaskSpec> tasks_;
-  std::vector<StageSpec> stages_;
-  // CSR-style adjacency (predecessors and successors).
-  std::vector<std::uint32_t> pred_offsets_, succ_offsets_;
-  std::vector<TaskId> pred_edges_, succ_edges_;
-  std::vector<std::uint32_t> stage_offsets_;
-  std::vector<TaskId> stage_members_;
-  std::vector<TaskId> roots_, sinks_, topo_;
   double aggregate_exec_ = 0.0;
 };
 
@@ -130,6 +151,7 @@ class WorkflowBuilder {
  private:
   std::string name_;
   std::vector<TaskSpec> tasks_;
+  std::vector<std::string> task_names_;
   std::vector<StageSpec> stages_;
   std::vector<std::vector<TaskId>> preds_;
 };

@@ -11,7 +11,6 @@
 #include "sim/driver.h"
 #include "sim/engine.h"
 #include "util/check.h"
-#include "workload/generators.h"
 
 namespace wire::ensemble {
 
@@ -69,13 +68,12 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
                                ShardedPolicyFactory sharded_policy_factory,
                                const sim::CloudConfig& cloud,
                                const EnsembleOptions& options)
-    : profiles_(std::move(profiles)),
-      arrivals_(std::move(arrivals)),
+    : arrivals_(std::move(arrivals)),
       policy_factory_(std::move(sharded_policy_factory)),
       cloud_(cloud),
       options_(options) {
   WIRE_REQUIRE(static_cast<bool>(policy_factory_), "need a policy factory");
-  WIRE_REQUIRE(!profiles_.empty(), "need at least one workflow profile");
+  WIRE_REQUIRE(!profiles.empty(), "need at least one workflow profile");
   WIRE_REQUIRE(options_.site_cap >= 1, "site cap must be at least one");
   WIRE_REQUIRE(options_.initial_instances >= 1,
                "jobs bootstrap with at least one instance");
@@ -91,8 +89,14 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
   // them before the run starts.
   cloud_.validate();
   for (const JobArrival& a : arrivals_.jobs()) {
-    WIRE_REQUIRE(a.profile_index < profiles_.size(),
+    WIRE_REQUIRE(a.profile_index < profiles.size(),
                  "arrival references an unknown profile");
+  }
+  // Each profile's graph is built once; an admission only draws its task
+  // numbers.
+  templates_.reserve(profiles.size());
+  for (const workload::WorkflowProfile& p : profiles) {
+    templates_.emplace_back(p);
   }
   // The arbiter share is the binding per-tenant ceiling; the per-tenant
   // engines must not additionally clip against a site-wide max_instances
@@ -104,7 +108,7 @@ void EnsembleDriver::admit(Tenant& tenant, std::uint32_t share,
                            sim::SimTime now) {
   const JobArrival& a = tenant.arrival;
   tenant.workflow.emplace(
-      workload::make_workflow(profiles_[a.profile_index], a.workflow_seed));
+      templates_[a.profile_index].instantiate(a.workflow_seed));
   tenant.policy = policy_factory_(0);
   tenant.engine = std::make_unique<sim::JobEngine>(
       *tenant.workflow, *tenant.policy, cloud_, run_options(a, options_));

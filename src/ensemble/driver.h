@@ -13,13 +13,16 @@
 //     JobArrival plus its arbiter row (live 0, requested_pool =
 //     initial_instances). Its cached share starts at sim::kNoInstanceCap and
 //     no engine exists to install a cap on.
-//   - Admission: the first rebalance that grants it a share >= 1 builds the
-//     workflow (make_workflow), mints the policy, constructs the engine,
-//     installs the share and starts the engine.
+//   - Admission: the first rebalance that grants it a share >= 1
+//     instantiates the workflow from its profile's WorkflowTemplate (built
+//     once, at driver construction: the admission draws only the task
+//     numbers and shares the graph), mints the policy, constructs the
+//     engine, installs the share and starts the engine.
 //   - Retirement: the JobOutcome is recorded from the engine's RunResult,
 //     the dedicated-baseline replay runs, and the engine, policy, workflow
-//     and RunResult are freed, in that order. Only the JobOutcome remains
-//     until run() returns.
+//     (its task numbers; the graph stays with the template) and RunResult
+//     are freed, in that order. Only the JobOutcome remains until run()
+//     returns.
 // Construction is per-tenant and seeded by the arrival alone, so deferring
 // it changes no event, RNG draw or share.
 //
@@ -99,6 +102,7 @@
 #include "ensemble/report.h"
 #include "sim/config.h"
 #include "sim/scaling_policy.h"
+#include "workload/generators.h"
 #include "workload/profiles.h"
 
 namespace wire::ensemble {
@@ -222,7 +226,8 @@ class EnsembleDriver {
   EnsembleReport assemble_report();
   double dedicated_makespan(const Tenant& tenant);
 
-  std::vector<workload::WorkflowProfile> profiles_;
+  /// One per profile, in catalogue order.
+  std::vector<workload::WorkflowTemplate> templates_;
   ArrivalProcess arrivals_;
   ShardedPolicyFactory policy_factory_;
   sim::CloudConfig cloud_;

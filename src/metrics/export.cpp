@@ -21,7 +21,7 @@ void write_gantt_csv(const std::string& path, const dag::Workflow& workflow,
     WIRE_REQUIRE(rec.phase == sim::TaskPhase::Completed,
                  "gantt export requires a completed run");
     const dag::TaskSpec& spec = workflow.task(t);
-    csv.write_row({std::to_string(t), spec.name,
+    csv.write_row({std::to_string(t), workflow.task_name(t),
                    workflow.stage(spec.stage).name,
                    std::to_string(rec.instance),
                    util::fmt(rec.occupancy_start, 3),

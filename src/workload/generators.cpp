@@ -46,15 +46,42 @@ std::vector<TaskId> link_predecessors(StageLink link,
   return {};
 }
 
-}  // namespace
+/// Appends a stage's quantized block classes in their stratified counts,
+/// unshuffled: most tasks process a standard block; skewed tasks get a half
+/// block or a multiple (data skew). The counts are the largest-remainder
+/// rounding of the class proportions, so the stage's realized input volume
+/// and mean execution time track the profile targets even for narrow
+/// stages.
+void append_class_factors(double p_skew, std::uint32_t task_count,
+                          std::vector<double>& out) {
+  const double factors[4] = {0.5, 1.0, 2.0, 4.0};
+  const double probs[4] = {p_skew * 0.5, 1.0 - p_skew, p_skew * 0.35,
+                           p_skew * 0.15};
+  std::uint32_t assigned = 0;
+  std::uint32_t counts[4];
+  double remainders[4];
+  for (int k = 0; k < 4; ++k) {
+    const double exact = probs[k] * task_count;
+    counts[k] = static_cast<std::uint32_t>(exact);
+    remainders[k] = exact - counts[k];
+    assigned += counts[k];
+  }
+  while (assigned < task_count) {
+    int best = 0;
+    for (int k = 1; k < 4; ++k) {
+      if (remainders[k] > remainders[best]) best = k;
+    }
+    ++counts[best];
+    remainders[best] = -1.0;
+    ++assigned;
+  }
+  for (int k = 0; k < 4; ++k) out.insert(out.end(), counts[k], factors[k]);
+}
 
-dag::Workflow make_workflow(const WorkflowProfile& profile,
-                            std::uint64_t seed) {
+/// The profile's graph: every task number zero, no RNG draw.
+dag::Workflow build_shape(const WorkflowProfile& profile) {
   WIRE_REQUIRE(!profile.stages.empty(), "profile has no stages");
-  util::Rng rng(seed);
-  util::Rng mem_rng(util::derive_seed(seed, kMemoryStream));
   WorkflowBuilder builder(profile.name);
-
   std::vector<TaskId> prev_stage_tasks;
   for (std::size_t si = 0; si < profile.stages.size(); ++si) {
     const StageProfile& sp = profile.stages[si];
@@ -63,79 +90,86 @@ dag::Workflow make_workflow(const WorkflowProfile& profile,
                  "first stage must be a Source");
     WIRE_REQUIRE(si == 0 || sp.link != StageLink::Source,
                  "only the first stage may be a Source");
-
     const StageId stage = builder.add_stage(sp.name, sp.name + ".exe");
-    const double per_task_mb =
-        sp.stage_input_mb / static_cast<double>(sp.task_count);
-
-    // Quantized block classes: most tasks process a standard block; skewed
-    // tasks get a half block or a multiple (data skew). Class counts are
-    // stratified (largest-remainder rounding of the class proportions, then
-    // shuffled) so the stage's realized input volume and mean execution time
-    // track the profile targets even for narrow stages.
-    const double p_skew = profile.skew_class_probability;
-    const double factors[4] = {0.5, 1.0, 2.0, 4.0};
-    const double probs[4] = {p_skew * 0.5, 1.0 - p_skew, p_skew * 0.35,
-                             p_skew * 0.15};
-    std::vector<double> task_factor;
-    task_factor.reserve(sp.task_count);
-    {
-      std::uint32_t assigned = 0;
-      std::uint32_t counts[4];
-      double remainders[4];
-      for (int k = 0; k < 4; ++k) {
-        const double exact = probs[k] * sp.task_count;
-        counts[k] = static_cast<std::uint32_t>(exact);
-        remainders[k] = exact - counts[k];
-        assigned += counts[k];
-      }
-      while (assigned < sp.task_count) {
-        int best = 0;
-        for (int k = 1; k < 4; ++k) {
-          if (remainders[k] > remainders[best]) best = k;
-        }
-        ++counts[best];
-        remainders[best] = -1.0;
-        ++assigned;
-      }
-      for (int k = 0; k < 4; ++k) {
-        task_factor.insert(task_factor.end(), counts[k], factors[k]);
-      }
-      std::shuffle(task_factor.begin(), task_factor.end(), rng.engine());
-    }
-    double mean_factor = 0.0;
-    for (double f : task_factor) mean_factor += f;
-    mean_factor /= static_cast<double>(sp.task_count);
-
     std::vector<TaskId> current;
     current.reserve(sp.task_count);
     for (std::uint32_t i = 0; i < sp.task_count; ++i) {
-      const double rel = task_factor[i] / mean_factor;
-      const double input_mb = std::max(1e-4, per_task_mb * rel);
-      // Execution time is proportional to the input size up to a small
-      // residual — what makes peers with equivalent input sizes predictive
-      // of each other (policy 4) and the input-size feature linear
-      // (policy 5).
-      const double exec = std::max(
-          0.3, sp.mean_exec_seconds * rel *
-                   unit_mean_lognormal(rng, profile.exec_residual_sigma));
-      const double output_mb = input_mb * 0.5;
-      // Peak memory spreads lognormally around the stage mean (per-stage
-      // spread like exec times, Observation 3 applied to the memory
-      // dimension) from a decoupled stream.
-      const double peak_mem =
-          sp.mean_peak_mem_mb > 0.0
-              ? std::max(16.0, sp.mean_peak_mem_mb *
-                                   unit_mean_lognormal(
-                                       mem_rng, profile.mem_residual_sigma))
-              : 0.0;
       current.push_back(builder.add_task(
-          stage, sp.name + "_" + std::to_string(i), input_mb, output_mb, exec,
-          link_predecessors(sp.link, i, prev_stage_tasks), peak_mem));
+          stage, sp.name + "_" + std::to_string(i), 0.0, 0.0, 0.0,
+          link_predecessors(sp.link, i, prev_stage_tasks)));
     }
     prev_stage_tasks = std::move(current);
   }
   return builder.build();
+}
+
+}  // namespace
+
+WorkflowTemplate::WorkflowTemplate(const WorkflowProfile& profile)
+    : shape_(build_shape(profile)),
+      exec_residual_sigma_(profile.exec_residual_sigma),
+      mem_residual_sigma_(profile.mem_residual_sigma) {
+  stages_.reserve(profile.stages.size());
+  factors_.reserve(shape_.task_count());
+  for (const StageProfile& sp : profile.stages) {
+    const std::size_t first = factors_.size();
+    append_class_factors(profile.skew_class_probability, sp.task_count,
+                         factors_);
+    // The factors are multiples of 0.5, so their sum is exact in any order:
+    // the mean over the shuffled stage equals this one bit for bit.
+    double mean_factor = 0.0;
+    for (std::size_t i = first; i < factors_.size(); ++i) {
+      mean_factor += factors_[i];
+    }
+    mean_factor /= static_cast<double>(sp.task_count);
+    stages_.push_back(StageDraw{
+        sp.task_count, sp.stage_input_mb / static_cast<double>(sp.task_count),
+        sp.mean_exec_seconds, sp.mean_peak_mem_mb, mean_factor});
+  }
+}
+
+dag::Workflow WorkflowTemplate::instantiate(std::uint64_t seed) const {
+  util::Rng rng(seed);
+  util::Rng mem_rng(util::derive_seed(seed, kMemoryStream));
+  std::vector<dag::TaskSpec> tasks(shape_.tasks().begin(),
+                                   shape_.tasks().end());
+  std::vector<double> factor = factors_;
+  std::size_t first = 0;
+  for (const StageDraw& sd : stages_) {
+    const std::size_t end = first + sd.task_count;
+    std::shuffle(factor.begin() + static_cast<std::ptrdiff_t>(first),
+                 factor.begin() + static_cast<std::ptrdiff_t>(end),
+                 rng.engine());
+    for (std::size_t i = first; i < end; ++i) {
+      dag::TaskSpec& t = tasks[i];
+      const double rel = factor[i] / sd.mean_factor;
+      t.input_mb = std::max(1e-4, sd.per_task_mb * rel);
+      // Execution time is proportional to the input size up to a small
+      // residual — what makes peers with equivalent input sizes predictive
+      // of each other (policy 4) and the input-size feature linear
+      // (policy 5).
+      t.ref_exec_seconds =
+          std::max(0.3, sd.mean_exec_seconds * rel *
+                            unit_mean_lognormal(rng, exec_residual_sigma_));
+      t.output_mb = t.input_mb * 0.5;
+      // Peak memory spreads lognormally around the stage mean (per-stage
+      // spread like exec times, Observation 3 applied to the memory
+      // dimension) from a decoupled stream.
+      t.ref_peak_mem_mb =
+          sd.mean_peak_mem_mb > 0.0
+              ? std::max(16.0,
+                         sd.mean_peak_mem_mb *
+                             unit_mean_lognormal(mem_rng, mem_residual_sigma_))
+              : 0.0;
+    }
+    first = end;
+  }
+  return shape_.with_tasks(std::move(tasks));
+}
+
+dag::Workflow make_workflow(const WorkflowProfile& profile,
+                            std::uint64_t seed) {
+  return WorkflowTemplate(profile).instantiate(seed);
 }
 
 dag::Workflow linear_workflow(std::uint32_t n_stages,

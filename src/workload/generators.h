@@ -1,25 +1,59 @@
 // Workflow instantiation: turns declarative profiles into concrete DAGs with
-// per-task execution-time skew and input sizes, plus the synthetic families
-// used by the simulation studies (linear workflows of §III-E / Figs. 2–3 and
-// random layered DAGs for property tests).
+// per-task execution-time skew and input sizes (one template per profile,
+// one cheap instance per seed), plus the synthetic families used by the
+// simulation studies (linear workflows of §III-E / Figs. 2–3 and random
+// layered DAGs for property tests).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "dag/workflow.h"
 #include "workload/profiles.h"
 
 namespace wire::workload {
 
-/// Instantiates a concrete workflow from a Table-I style profile.
-///
-/// Per-task reference execution times are the stage mean multiplied by a
-/// lognormal skew factor (normalized so the stage mean is preserved in
-/// expectation) — the intra-stage load skew of Observation 1. Per-task input
-/// sizes follow the same skew with extra decorrelating noise so that the
-/// input-size feature of the OGD predictor carries signal without being a
-/// perfect oracle. Deterministic in (profile, seed).
+/// A Table-I style profile as a workflow type: the seed-independent graph
+/// (names, stages, dependencies) is built once, at construction, and makes
+/// no RNG draw. instantiate() draws only the task numbers, so every instance
+/// shares the template's graph; an instance may outlive its template.
+class WorkflowTemplate {
+ public:
+  explicit WorkflowTemplate(const WorkflowProfile& profile);
+
+  /// The profile's workflow for `seed`. Per stage, quantized block classes
+  /// (a standard block, a half block or a multiple: data skew) are assigned
+  /// to tasks in stratified counts, shuffled; a task's input size is its
+  /// class share of the stage input, and its reference execution time is
+  /// the stage mean scaled by the same share and a small lognormal residual
+  /// — the intra-stage load skew of Observation 1, with input size a
+  /// predictive feature (policies 4 and 5). Peak memory spreads lognormally
+  /// around the stage mean from a separate RNG stream. Deterministic in
+  /// (profile, seed).
+  dag::Workflow instantiate(std::uint64_t seed) const;
+
+ private:
+  /// The seed-independent numbers of one stage's draws.
+  struct StageDraw {
+    std::uint32_t task_count = 0;
+    double per_task_mb = 0.0;
+    double mean_exec_seconds = 0.0;
+    double mean_peak_mem_mb = 0.0;
+    /// Mean of the stage's block-class factors.
+    double mean_factor = 0.0;
+  };
+
+  /// The graph, with every task number zero.
+  dag::Workflow shape_;
+  std::vector<StageDraw> stages_;
+  /// Unshuffled block-class factors, one per task in id order.
+  std::vector<double> factors_;
+  double exec_residual_sigma_ = 0.0;
+  double mem_residual_sigma_ = 0.0;
+};
+
+/// WorkflowTemplate(profile).instantiate(seed).
 dag::Workflow make_workflow(const WorkflowProfile& profile,
                             std::uint64_t seed);
 

@@ -40,7 +40,7 @@ TEST(Clustering, NarrowStagesAreLeftAlone) {
   EXPECT_EQ(c.workflow.task_count(), wf.task_count());
   EXPECT_EQ(c.merged_jobs, 0u);
   for (TaskId t = 0; t < wf.task_count(); ++t) {
-    EXPECT_EQ(c.workflow.task(c.task_mapping[t]).name, wf.task(t).name);
+    EXPECT_EQ(c.workflow.task_name(c.task_mapping[t]), wf.task_name(t));
   }
 }
 

@@ -97,7 +97,7 @@ TEST(Dax, JobOrderIndependence) {
   ASSERT_EQ(wf.task_count(), 2u);
   // Task "A" must precede "B" in the built DAG.
   const TaskId a = wf.roots()[0];
-  EXPECT_EQ(wf.task(a).name, "A");
+  EXPECT_EQ(wf.task_name(a), "A");
   EXPECT_EQ(wf.successors(a).size(), 1u);
 }
 

@@ -170,7 +170,7 @@ TEST(Serialize, RoundTripPreservesEverything) {
   ASSERT_EQ(parsed.task_count(), original.task_count());
   ASSERT_EQ(parsed.stage_count(), original.stage_count());
   for (TaskId t = 0; t < original.task_count(); ++t) {
-    EXPECT_EQ(parsed.task(t).name, original.task(t).name);
+    EXPECT_EQ(parsed.task_name(t), original.task_name(t));
     EXPECT_EQ(parsed.task(t).stage, original.task(t).stage);
     EXPECT_DOUBLE_EQ(parsed.task(t).input_mb, original.task(t).input_mb);
     EXPECT_DOUBLE_EQ(parsed.task(t).ref_exec_seconds,
@@ -190,7 +190,7 @@ TEST(Serialize, EscapesAwkwardNames) {
   EXPECT_EQ(parsed.name(), "name with spaces");
   EXPECT_EQ(parsed.stage(0).name, "stage one");
   EXPECT_EQ(parsed.stage(0).executable, "");
-  EXPECT_EQ(parsed.task(0).name, "task\twith\ttabs");
+  EXPECT_EQ(parsed.task_name(0), "task\twith\ttabs");
 }
 
 TEST(Serialize, TokenEscapeRoundTrip) {
