@@ -1,10 +1,10 @@
 // Bandit predictor-selection study (extension beyond the paper — the online
 // analogue of the static predictor ablation matrix).
 //
-// bench_ablation measures each predictor variant as a fixed, whole-run
-// configuration; BanditSelector instead switches the live TaskPredictor
-// among a small arm set at control-tick period boundaries, scored by
-// observed misprediction cost. This bench quantifies what that buys: for
+// bench_studies' ablation measures each predictor variant as a fixed,
+// whole-run configuration; BanditSelector instead switches the live
+// TaskPredictor among a small arm set at control-tick period boundaries,
+// scored by observed misprediction cost. This bench quantifies what that buys: for
 // each (workload x site) cell it measures every fixed arm and both
 // explorers (epsilon-greedy decay, UCB1) with the identical regret
 // instrumentation — fixed arms run as degenerate single-arm selectors, so

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -83,7 +84,9 @@ inline JsonValue::JsonValue(const JsonFields& object) : text_("{") {
 
 /// Writes bench_results/BENCH_<bench>.json, the envelope every study bench
 /// shares: bench, schema, mode, then `header` in order, then one `cells`
-/// object per line. Prints "(<what> written to <path>)" on success.
+/// object per line. Prints "(<what> written to <path>)" on success; a file
+/// that cannot be written ends the bench with exit code 1, since CI reads
+/// the file as the bench's output.
 inline void write_study_json(const std::string& bench, bool smoke,
                              const JsonFields& header,
                              const std::vector<JsonFields>& cells,
@@ -91,8 +94,8 @@ inline void write_study_json(const std::string& bench, bool smoke,
   const std::string path = results_dir() + "/BENCH_" + bench + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    std::printf("WARNING: cannot write %s\n", path.c_str());
-    return;
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    std::exit(1);
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"schema\": 1,\n",
                bench.c_str());
@@ -106,7 +109,11 @@ inline void write_study_json(const std::string& bench, bool smoke,
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const bool failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || failed) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
   std::printf("(%s written to %s)\n", what, path.c_str());
 }
 

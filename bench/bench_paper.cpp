@@ -389,19 +389,14 @@ void fig4() {
 
 // --- Figs. 5/6: the §IV-C settings matrix -----------------------------------
 
-/// One run of the matrix, read by both figures. Cells are ordered
-/// workflow-major, then policy, then charging unit.
+/// One run of the matrix, read by both figures.
 struct Matrix {
-  exp::MatrixOptions options;
-  std::vector<workload::WorkflowProfile> profiles;
-  std::vector<exp::CellResult> cells;
+  exp::Study study;
+  std::vector<exp::StudyCell> cells;
 
   const metrics::CellStats& stats(std::size_t w, std::size_t p,
                                   std::size_t u) const {
-    return cells[(w * options.policies.size() + p) *
-                     options.charging_units.size() +
-                 u]
-        .stats;
+    return cells[study.cell_index(w, u, p)].stats;
   }
 };
 
@@ -412,8 +407,8 @@ util::TextTable policy_by_unit_table() {
 }
 
 void fig5(const Matrix& m) {
-  const auto& policies = m.options.policies;
-  const auto& units = m.options.charging_units;
+  const auto policies = exp::all_policies();
+  const auto units = exp::paper_charging_units();
   util::CsvWriter csv(bench::results_dir() + "/fig5.csv");
   csv.write_row({"workflow", "policy", "charging_unit_s", "cost_mean",
                  "cost_std", "makespan_mean_s", "utilization_mean"});
@@ -421,7 +416,7 @@ void fig5(const Matrix& m) {
   double ratio_min = 1e18, ratio_max = 0.0;  // full-site / wire
   double other_min = 1e18, other_max = 0.0;  // any baseline / wire
   std::uint32_t wire_cheapest = 0, cell_count = 0;
-  for (std::size_t w = 0; w < m.profiles.size(); ++w) {
+  for (std::size_t w = 0; w < m.study.workloads.size(); ++w) {
     util::TextTable table = policy_by_unit_table();
     for (std::size_t p = 0; p < policies.size(); ++p) {
       std::vector<std::string> row{exp::policy_label(policies[p])};
@@ -429,7 +424,8 @@ void fig5(const Matrix& m) {
         const metrics::CellStats& stats = m.stats(w, p, u);
         row.push_back(util::fmt_mean_std(stats.cost_units.mean(),
                                          stats.cost_units.stddev(), 1));
-        csv.write_row({m.profiles[w].name, exp::policy_label(policies[p]),
+        csv.write_row({m.study.workloads[w].name(),
+                       exp::policy_label(policies[p]),
                        util::fmt(units[u], 0),
                        util::fmt(stats.cost_units.mean(), 3),
                        util::fmt(stats.cost_units.stddev(), 3),
@@ -438,7 +434,7 @@ void fig5(const Matrix& m) {
       }
       table.add_row(std::move(row));
     }
-    std::printf("%s\n%s\n", m.profiles[w].name.c_str(),
+    std::printf("%s\n%s\n", m.study.workloads[w].name().c_str(),
                 table.render().c_str());
     // Cost ratios vs wire (wire is the last policy in paper order).
     const std::size_t wire_row = policies.size() - 1;
@@ -470,8 +466,8 @@ void fig5(const Matrix& m) {
 }
 
 void fig6(const Matrix& m) {
-  const auto& policies = m.options.policies;
-  const auto& units = m.options.charging_units;
+  const auto policies = exp::all_policies();
+  const auto units = exp::paper_charging_units();
   util::CsvWriter csv(bench::results_dir() + "/fig6.csv");
   csv.write_row({"workflow", "policy", "charging_unit_s", "relative_time_mean",
                  "relative_time_std", "makespan_mean_s"});
@@ -481,7 +477,7 @@ void fig6(const Matrix& m) {
   double wire_slow_min = 1e18, wire_slow_max = 0.0;
   double wire_1min_min = 1e18, wire_1min_max = 0.0;
   std::uint32_t wire_within_2x = 0, wire_cells = 0;
-  for (std::size_t w = 0; w < m.profiles.size(); ++w) {
+  for (std::size_t w = 0; w < m.study.workloads.size(); ++w) {
     double best = 1e300;
     for (std::size_t p = 0; p < policies.size(); ++p) {
       for (std::size_t u = 0; u < units.size(); ++u) {
@@ -496,7 +492,8 @@ void fig6(const Matrix& m) {
         const double rel = stats.makespan_seconds.mean() / best;
         const double rel_std = stats.makespan_seconds.stddev() / best;
         row.push_back(util::fmt_mean_std(rel, rel_std, 2));
-        csv.write_row({m.profiles[w].name, exp::policy_label(policies[p]),
+        csv.write_row({m.study.workloads[w].name(),
+                       exp::policy_label(policies[p]),
                        util::fmt(units[u], 0), util::fmt(rel, 4),
                        util::fmt(rel_std, 4),
                        util::fmt(stats.makespan_seconds.mean(), 1)});
@@ -513,7 +510,7 @@ void fig6(const Matrix& m) {
       }
       table.add_row(std::move(row));
     }
-    std::printf("%s\n%s\n", m.profiles[w].name.c_str(),
+    std::printf("%s\n%s\n", m.study.workloads[w].name().c_str(),
                 table.render().c_str());
   }
   std::printf(
@@ -653,9 +650,12 @@ int main() {
   steering_figure(/*fix_u=*/false);
   fig4();
   Matrix matrix;
-  matrix.options.repetitions = 3;
-  matrix.profiles = workload::table1_profiles();
-  matrix.cells = exp::run_matrix(matrix.profiles, matrix.options);
+  std::vector<dag::Workflow> workflows;
+  for (const workload::WorkflowProfile& profile : workload::table1_profiles()) {
+    workflows.push_back(workload::make_workflow(profile, 7));
+  }
+  matrix.study = exp::paper_study(std::move(workflows), /*repetitions=*/3);
+  matrix.cells = matrix.study.run();
   fig5(matrix);
   fig6(matrix);
   motivation();

@@ -43,29 +43,28 @@ int main(int argc, char** argv) try {
     profile = workload::tpch1_profile(scale);
   }
 
-  exp::MatrixOptions options;
-  options.repetitions = 3;
-  const auto cells = exp::run_matrix({profile}, options);
+  const exp::Study study = exp::paper_study(
+      {workload::make_workflow(profile, 7)}, /*repetitions=*/3);
+  const auto cells = study.run();
 
   // Find the best mean makespan for the relative-time normalization.
   double best = 1e300;
-  for (const exp::CellResult& cell : cells) {
+  for (const exp::StudyCell& cell : cells) {
     best = std::min(best, cell.stats.makespan_seconds.mean());
   }
 
   std::printf("=== %s: %zu policies x %zu charging units, %u runs each ===\n\n",
-              profile.name.c_str(), options.policies.size(),
-              options.charging_units.size(), options.repetitions);
+              profile.name.c_str(), study.variants.size(),
+              study.clouds.size(), study.repetitions);
 
   util::TextTable cost, time;
   cost.set_header({"cost (units)", "1 min", "15 min", "30 min", "60 min"});
   time.set_header({"rel. time", "1 min", "15 min", "30 min", "60 min"});
-  std::size_t idx = 0;
-  for (exp::PolicyKind policy : options.policies) {
-    std::vector<std::string> cost_row{exp::policy_label(policy)};
-    std::vector<std::string> time_row{exp::policy_label(policy)};
-    for (std::size_t u = 0; u < options.charging_units.size(); ++u) {
-      const exp::CellResult& cell = cells[idx++];
+  for (std::size_t p = 0; p < study.variants.size(); ++p) {
+    std::vector<std::string> cost_row{study.variants[p].label};
+    std::vector<std::string> time_row{study.variants[p].label};
+    for (std::size_t u = 0; u < study.clouds.size(); ++u) {
+      const exp::StudyCell& cell = cells[study.cell_index(0, u, p)];
       cost_row.push_back(util::fmt_mean_std(cell.stats.cost_units.mean(),
                                             cell.stats.cost_units.stddev(),
                                             1));

@@ -157,7 +157,6 @@ class IncrementalLookahead {
 
   AnalyzePath last_path() const { return last_path_; }
   const LookaheadCacheStats& stats() const { return stats_; }
-  const LookaheadCacheOptions& options() const { return options_; }
 
   /// Flips the adaptive-horizon lever between ticks (the BanditSelector
   /// arm-switch hook — arms may differ in horizon capping). Safe mid-run:

@@ -7,8 +7,8 @@
 // trades parallelism for lower per-task overhead and longer slot occupancy —
 // which interacts directly with WIRE's charging-unit economics: Figure 3
 // shows elasticity collapsing when tasks are short relative to u, and
-// clustering is the classic lever that lengthens tasks. bench_clustering
-// measures that interaction.
+// clustering is the classic lever that lengthens tasks. The clustering study
+// of bench_studies measures that interaction.
 #pragma once
 
 #include <cstdint>

@@ -140,9 +140,6 @@ class WorkflowBuilder {
                   std::vector<TaskId> predecessors,
                   double ref_peak_mem_mb = 0.0);
 
-  std::size_t task_count() const { return tasks_.size(); }
-  std::size_t stage_count() const { return stages_.size(); }
-
   /// Validates (dependencies exist, stages non-empty, graph is a DAG — the
   /// add-order discipline guarantees acyclicity, revalidated defensively) and
   /// returns the immutable workflow. The builder is left empty.

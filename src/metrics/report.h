@@ -35,7 +35,6 @@ struct EnsembleCellStats {
   util::RunningStats cost_units;
 
   void add(double job_slowdown, double job_queue_wait, double job_cost);
-  std::size_t jobs() const { return slowdown.count(); }
 };
 
 /// §IV-D error definitions: for a task with actual execution time t and

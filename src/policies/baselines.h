@@ -36,8 +36,6 @@ class StaticPolicy final : public sim::ScalingPolicy {
                     const sim::CloudConfig& config) override;
   sim::PoolCommand plan(const sim::MonitorSnapshot& snapshot) override;
 
-  std::uint32_t size() const { return size_; }
-
  private:
   std::uint32_t size_;
   std::string label_;

@@ -74,7 +74,6 @@ class BudgetPolicy final : public sim::ScalingPolicy {
   /// True once the committed spend has consumed the whole budget (the policy
   /// is running on the minimum-progress floor).
   bool exhausted() const { return enabled() && remaining_units() <= 0.0; }
-  const sim::ScalingPolicy& inner() const { return *inner_; }
 
  private:
   /// Mirrors the cloud's billing from the snapshot: refreshes per-row

@@ -42,9 +42,6 @@ class HazardEstimator {
   /// Accumulates observed Ready instance time (the denominator's exposure).
   void add_exposure_hours(double hours) { exposure_hours_ += hours; }
 
-  std::uint64_t crashes() const { return crashes_; }
-  double exposure_hours() const { return exposure_hours_; }
-
   /// Crashes per instance-hour. Zero until either the prior or an observed
   /// crash contributes mass. With a zero-weight prior, crashes observed
   /// before any exposure accrues (instances killed while still

@@ -36,8 +36,6 @@ class DeadlinePolicy final : public sim::ScalingPolicy {
                     const sim::CloudConfig& config) override;
   sim::PoolCommand plan(const sim::MonitorSnapshot& snapshot) override;
 
-  double deadline_seconds() const { return deadline_; }
-
  private:
   double deadline_;
   std::shared_ptr<const std::vector<predict::HistoryRecord>> history_;

@@ -113,7 +113,6 @@ class BanditSelector {
  public:
   explicit BanditSelector(const BanditOptions& options);
 
-  std::size_t arm_count() const { return arms_.size(); }
   const BanditArm& arm(std::uint32_t index) const;
   /// The arm currently live on the predictor.
   std::uint32_t current() const { return current_; }

@@ -53,7 +53,6 @@ class OgdModel {
   void set_learning_rate(double learning_rate) {
     learning_rate_ = learning_rate;
   }
-  double learning_rate() const { return learning_rate_; }
 
   std::size_t epochs() const { return epochs_; }
 

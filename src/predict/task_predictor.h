@@ -174,8 +174,6 @@ class TaskPredictor : public Estimator {
   /// Approximate resident state size in bytes (§IV-F overhead accounting).
   std::size_t state_bytes() const override;
 
-  std::size_t iterations() const { return iterations_; }
-
  private:
   /// Policies 1-2 for a stage with no completions: the centre of its running
   /// peers' time since the stage fired, or 0 when none runs. Depends only on
@@ -201,9 +199,8 @@ class TaskPredictor : public Estimator {
     std::vector<double> sorted;
     std::vector<double> pending;  // this interval's arrivals, pre-merge
     double sum = 0.0;     // accumulated in arrival order (== util::mean fold)
-    double center = 0.0;  // cached centre; valid once flushed && !empty()
+    double center = 0.0;  // cached centre; valid once flushed && size() > 0
     std::size_t size() const { return sorted.size() + pending.size(); }
-    bool empty() const { return sorted.empty() && pending.empty(); }
   };
 
   /// Stages a sample for the next flush (sum folds immediately, in arrival

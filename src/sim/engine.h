@@ -51,15 +51,14 @@ class JobEngine {
 
   /// Bootstraps the run at local time 0: notifies the policy, boots the
   /// initial pool (clamped to the instance cap), and schedules the first
-  /// control tick. Requires !started().
+  /// control tick. Call once.
   void start();
-  bool started() const { return started_; }
 
   /// All tasks resolved — completed, or quarantined as poison under fault
   /// injection (trivially false before start()).
   bool done() const { return started_ && framework_.all_complete(); }
 
-  /// Local time of the earliest pending event. Requires started() && !done().
+  /// Local time of the earliest pending event. Requires start() and !done().
   SimTime next_event_time() const;
 
   /// Local time of the earliest pending event that can change this engine's
@@ -75,7 +74,7 @@ class JobEngine {
   /// Local time of the event that completed the run; negative until done().
   SimTime end_time() const { return end_time_; }
 
-  /// Processes exactly one event. Requires started() && !done(). Throws
+  /// Processes exactly one event. Requires start() and !done(). Throws
   /// std::runtime_error past RunOptions::max_sim_seconds (a stuck policy).
   void step();
 
@@ -146,8 +145,6 @@ class JobEngine {
   /// done(); call at most once.
   RunResult result();
 
-  const dag::Workflow& workflow() const { return workflow_; }
-
   /// The store-maintained snapshot refreshed to `now` without consuming the
   /// delta journal (see MonitorStore::peek). Safe to call between events;
   /// does not perturb the run.
@@ -161,9 +158,6 @@ class JobEngine {
   /// Ground-truth task state. tests/oracle/snapshot_oracle.h rebuilds the
   /// monitoring snapshot from it and cloud() to check the MonitorStore.
   const FrameworkMaster& framework() const { return framework_; }
-  /// The run's fault model (journal + counters). Disabled (and empty) unless
-  /// CloudConfig::faults has a nonzero rate.
-  const FaultModel& faults() const { return faults_; }
 
  private:
   void dispatch_all(SimTime now);

@@ -93,12 +93,10 @@ class FaultModel {
              const MemoryConfig& memory = {});
 
   bool enabled() const { return enabled_; }
-  const FaultConfig& config() const { return config_; }
-
-  bool memory_enabled() const { return mem_enabled_; }
 
   /// Draws the true peak memory of one task around its reference peak
-  /// (lognormal noise, unit median). Requires memory_enabled(). Called once
+  /// (lognormal noise, unit median). Requires the memory dimension on
+  /// (MemoryConfig::enabled() at construction). Called once
   /// per task (the peak is a property of the task, not the attempt).
   double sample_peak_mem(double ref_peak_mb);
 

@@ -185,7 +185,6 @@ class FrameworkMaster {
     return completed_ + quarantined_ == workflow_->task_count();
   }
   std::size_t completed_count() const { return completed_; }
-  std::size_t quarantined_count() const { return quarantined_; }
   std::uint32_t total_restarts() const { return restarts_; }
   /// Total transient task failures across all tasks.
   std::uint32_t total_task_faults() const { return task_faults_; }

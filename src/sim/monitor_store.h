@@ -119,8 +119,6 @@ class MonitorStore {
     return static_cast<std::uint32_t>(running_.size());
   }
 
-  const MonitorSnapshot& snapshot() const { return snap_; }
-
   /// Resident footprint in bytes (overhead accounting).
   std::size_t state_bytes() const;
 

@@ -41,7 +41,6 @@ class SharedChannel {
         per_flow_cap_(per_flow_cap) {}
 
   double capacity() const { return capacity_; }
-  bool empty() const { return flows_.empty(); }
 
   /// True if the guard event `e` carries the current epoch.
   bool guard_current(const Event& e) const { return e.aux == epoch_; }

@@ -19,9 +19,6 @@ class VariabilityModel {
   /// so a run's environment is fixed at its start.
   VariabilityModel(const VariabilityConfig& config, std::uint64_t seed);
 
-  /// This run's global speed factor (1.0 when run_speed_sigma == 0).
-  double run_factor() const { return run_factor_; }
-
   /// Speed factor for a newly booted instance (1.0 is nominal; < 1 is faster
   /// in the sense that actual time = reference * factor).
   double sample_instance_factor();

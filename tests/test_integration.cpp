@@ -3,6 +3,7 @@
 // the epigenomics elasticity story.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -44,25 +45,23 @@ TEST(Integration, PaperMatrixOrderingsHold) {
   // One repetition of the §IV-C matrix on the two TPCH-6 runs: the classic
   // orderings must hold — full-site fastest and most expensive at small u,
   // wire cheapest at u >= 15 min.
-  exp::MatrixOptions options;
-  options.repetitions = 1;
-  const auto cells = exp::run_matrix(
-      {workload::tpch6_profile(workload::Scale::Small),
-       workload::tpch6_profile(workload::Scale::Large)},
-      options);
+  const exp::Study study = exp::paper_study(
+      {workload::make_workflow(
+           workload::tpch6_profile(workload::Scale::Small), 7),
+       workload::make_workflow(
+           workload::tpch6_profile(workload::Scale::Large), 7)},
+      /*repetitions=*/1);
+  const auto cells = study.run();
   ASSERT_EQ(cells.size(), 2u * 4u * 4u);
 
+  const auto units = exp::paper_charging_units();
+  const auto policies = exp::all_policies();
   const auto cell = [&](std::size_t wf, exp::PolicyKind policy,
-                        double unit) -> const exp::CellResult& {
-    for (const exp::CellResult& c : cells) {
-      const bool wf_match =
-          (wf == 0) == (c.workflow == "TPCH-6 S");
-      if (wf_match && c.policy == policy &&
-          c.charging_unit_seconds == unit) {
-        return c;
-      }
-    }
-    throw std::logic_error("cell not found");
+                        double unit) -> const exp::StudyCell& {
+    return cells[study.cell_index(
+        wf, std::find(units.begin(), units.end(), unit) - units.begin(),
+        std::find(policies.begin(), policies.end(), policy) -
+            policies.begin())];
   };
 
   for (std::size_t wf : {0u, 1u}) {

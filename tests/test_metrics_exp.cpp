@@ -2,6 +2,8 @@
 // matrix, repetition runner, prediction-replay harness).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "exp/prediction_harness.h"
 #include "exp/runner.h"
 #include "exp/settings.h"
@@ -64,39 +66,101 @@ TEST(Settings, PolicyFactoryProducesDistinctPolicies) {
             1u);
 }
 
-TEST(Runner, CellIsReproducible) {
-  const dag::Workflow wf = workload::make_workflow(
+dag::Workflow tpch6_small() {
+  return workload::make_workflow(
       workload::tpch6_profile(workload::Scale::Small), 7);
-  exp::MatrixOptions options;
-  options.repetitions = 2;
-  const exp::CellResult a =
-      exp::run_cell(wf, exp::PolicyKind::PureReactive, 900.0, options, 3);
-  const exp::CellResult b =
-      exp::run_cell(wf, exp::PolicyKind::PureReactive, 900.0, options, 3);
-  ASSERT_EQ(a.runs.size(), 2u);
-  EXPECT_DOUBLE_EQ(a.stats.cost_units.mean(), b.stats.cost_units.mean());
-  EXPECT_DOUBLE_EQ(a.runs[0].makespan, b.runs[0].makespan);
-  // Different repetitions within the cell use different seeds.
-  EXPECT_NE(a.runs[0].makespan, a.runs[1].makespan);
 }
 
-TEST(Runner, MatrixCoversEveryCell) {
-  exp::MatrixOptions options;
-  options.repetitions = 1;
-  options.policies = {exp::PolicyKind::FullSite, exp::PolicyKind::Wire};
-  options.charging_units = {60.0, 900.0};
-  options.threads = 4;
-  const auto results = exp::run_matrix(
-      {workload::tpch6_profile(workload::Scale::Small)}, options);
-  ASSERT_EQ(results.size(), 4u);
-  for (const exp::CellResult& cell : results) {
-    EXPECT_EQ(cell.workflow, "TPCH-6 S");
-    EXPECT_EQ(cell.stats.runs(), 1u);
-    EXPECT_GE(cell.stats.cost_units.min(), 1.0);
+TEST(Study, CellIsReproducible) {
+  exp::Study study;
+  study.workloads = {tpch6_small()};
+  study.clouds = {exp::paper_cloud(900.0)};
+  study.variants = {exp::policy_variant(exp::PolicyKind::PureReactive)};
+  study.repetitions = 2;
+  const auto a = study.run();
+  const auto b = study.run();
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(a[0].runs.size(), 2u);
+  EXPECT_DOUBLE_EQ(a[0].stats.cost_units.mean(), b[0].stats.cost_units.mean());
+  EXPECT_DOUBLE_EQ(a[0].runs[0].makespan, b[0].runs[0].makespan);
+  // Different repetitions within the cell use different seeds.
+  EXPECT_NE(a[0].runs[0].makespan, a[0].runs[1].makespan);
+}
+
+TEST(Study, MatrixCoversEveryCell) {
+  exp::Study study;
+  study.workloads = {tpch6_small()};
+  study.clouds = {exp::paper_cloud(60.0), exp::paper_cloud(900.0)};
+  study.variants = {exp::policy_variant(exp::PolicyKind::FullSite),
+                    exp::policy_variant(exp::PolicyKind::Wire)};
+  study.repetitions = 1;
+  study.threads = 4;
+  const auto cells = study.run();
+  ASSERT_EQ(cells.size(), 4u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t v = 0; v < 2; ++v) {
+      const exp::StudyCell& cell = cells[study.cell_index(0, c, v)];
+      EXPECT_EQ(cell.cloud, c);
+      EXPECT_EQ(cell.variant, v);
+      EXPECT_EQ(study.workloads[cell.workload].name(), "TPCH-6 S");
+      EXPECT_EQ(cell.stats.runs(), 1u);
+      EXPECT_GE(cell.stats.cost_units.min(), 1.0);
+    }
   }
   // Full-site at u=60 must cost more than wire at u=60.
-  EXPECT_GT(results[0].stats.cost_units.mean(),
-            results[2].stats.cost_units.mean());
+  EXPECT_GT(cells[study.cell_index(0, 0, 0)].stats.cost_units.mean(),
+            cells[study.cell_index(0, 0, 1)].stats.cost_units.mean());
+}
+
+TEST(Study, VariantsArePairedOnTheSameSeeds) {
+  // A variant that is a copy of variant 0 runs on the same ground truth, so
+  // its paired difference is exactly zero in every cell.
+  exp::Study study;
+  study.workloads = {tpch6_small(),
+                     workload::make_workflow(
+                         workload::epigenomics_profile(workload::Scale::Small),
+                         7)};
+  study.clouds = {exp::paper_cloud(60.0), exp::paper_cloud(900.0)};
+  study.variants = {exp::policy_variant(exp::PolicyKind::Wire),
+                    exp::policy_variant(exp::PolicyKind::Wire),
+                    exp::policy_variant(exp::PolicyKind::PureReactive)};
+  study.repetitions = 3;
+  const auto cells = study.run();
+  for (std::size_t w = 0; w < 2; ++w) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      const exp::StudyCell& base = cells[study.cell_index(w, c, 0)];
+      const exp::StudyCell& copy = cells[study.cell_index(w, c, 1)];
+      for (const exp::PairedDelta& d :
+           {copy.makespan_delta, copy.cost_delta}) {
+        EXPECT_EQ(d.mean, 0.0);
+        EXPECT_EQ(d.stddev, 0.0);
+        EXPECT_EQ(d.low(), 0.0);
+        EXPECT_EQ(d.high(), 0.0);
+      }
+      // Another policy's Δ is the difference of the cell means.
+      const exp::StudyCell& other = cells[study.cell_index(w, c, 2)];
+      EXPECT_NEAR(other.makespan_delta.mean,
+                  other.stats.makespan_seconds.mean() -
+                      base.stats.makespan_seconds.mean(),
+                  1e-9);
+      EXPECT_LE(other.cost_delta.low(), other.cost_delta.mean);
+      EXPECT_GE(other.cost_delta.high(), other.cost_delta.mean);
+    }
+  }
+}
+
+TEST(Study, PairedDeltaIsAStudentTInterval) {
+  const exp::PairedDelta d = exp::paired_delta({1.0, 2.0, 3.0, 4.0});
+  EXPECT_DOUBLE_EQ(d.mean, 2.5);
+  EXPECT_NEAR(d.stddev, std::sqrt(5.0 / 3.0), 1e-12);
+  // t(0.975, 3) = 3.1824.
+  EXPECT_NEAR(d.half_width, 3.1824 * std::sqrt(5.0 / 3.0) / 2.0, 1e-9);
+  std::vector<double> alternating;
+  for (int i = 0; i < 32; ++i) alternating.insert(alternating.end(), {0, 2});
+  // t(0.975, 63) = 1.9983, past the table.
+  EXPECT_NEAR(exp::paired_delta(alternating).half_width,
+              1.9983 * std::sqrt(64.0 / 63.0) / 8.0, 1e-4);
+  EXPECT_TRUE(std::isinf(exp::paired_delta({7.0}).half_width));
 }
 
 TEST(PredictionHarness, ReplayAlignsPredictionsWithActuals) {

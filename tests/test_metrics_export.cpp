@@ -95,27 +95,30 @@ TEST(Export, SummaryAppendsWithSingleHeader) {
   std::remove(path.c_str());
 }
 
-TEST(Runner, ResultsIndependentOfThreadCount) {
-  // The experiment matrix must produce bit-identical results whether it runs
-  // on 1 thread or many (per-run seeds are derived, not order-dependent).
-  exp::MatrixOptions serial;
+TEST(Study, ResultsIndependentOfThreadCount) {
+  // A study must produce bit-identical results whether it runs on 1 thread
+  // or many (per-run seeds are derived, not order-dependent).
+  exp::Study serial;
+  serial.workloads = {workload::make_workflow(
+      workload::tpch6_profile(workload::Scale::Small), 7)};
+  serial.clouds = {exp::paper_cloud(60.0), exp::paper_cloud(900.0)};
+  serial.variants = {exp::policy_variant(exp::PolicyKind::PureReactive),
+                     exp::policy_variant(exp::PolicyKind::Wire)};
   serial.repetitions = 2;
-  serial.policies = {exp::PolicyKind::PureReactive, exp::PolicyKind::Wire};
-  serial.charging_units = {60.0, 900.0};
   serial.threads = 1;
-  exp::MatrixOptions parallel = serial;
+  exp::Study parallel = serial;
   parallel.threads = 8;
 
-  const auto profile = workload::tpch6_profile(workload::Scale::Small);
-  const auto a = exp::run_matrix({profile}, serial);
-  const auto b = exp::run_matrix({profile}, parallel);
+  const auto a = serial.run();
+  const auto b = parallel.run();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].workflow, b[i].workflow);
+    EXPECT_EQ(a[i].workload, b[i].workload);
     EXPECT_DOUBLE_EQ(a[i].stats.cost_units.mean(),
                      b[i].stats.cost_units.mean());
     EXPECT_DOUBLE_EQ(a[i].stats.makespan_seconds.mean(),
                      b[i].stats.makespan_seconds.mean());
+    EXPECT_DOUBLE_EQ(a[i].cost_delta.mean, b[i].cost_delta.mean);
     for (std::size_t r = 0; r < a[i].runs.size(); ++r) {
       EXPECT_DOUBLE_EQ(a[i].runs[r].makespan, b[i].runs[r].makespan);
     }

@@ -1,17 +1,22 @@
 #!/usr/bin/env bash
-# Lists the out-of-line wire:: functions that src/ defines but no program
-# contains, and exits 1 if there are any.
+# Lists the wire:: functions that src/ defines but no program contains, and
+# exits 1 if there are any.
 #
 #   bash tools/unreferenced_functions.sh [scratch-dir]
 #
 # Builds the main project (every test, bench and example) and the bench/suite
 # project at -O0 with one section per function, and links every executable
 # with --gc-sections, so a function no executable can reach is dropped from
-# all of them. A function counts as defined when a wire_* archive built from
-# src/ holds it as a global text symbol (inline and template functions are
-# weak and not counted); it counts as called when any linked executable still
-# contains it. Both build trees go to the scratch directory (default: a fresh
-# temporary directory, removed on exit); no file in the checkout is written.
+# all of them. -fkeep-inline-functions makes every translation unit emit each
+# inline function it sees, called or not, so a wire_* archive built from src/
+# holds every out-of-line function (a global text symbol) and every inline
+# one of the src/ headers its sources include (a weak text symbol). Either
+# counts as defined, except inline constructors, destructors and
+# assignments (see below); it counts as called when any linked executable
+# still contains it. Templates are emitted only where instantiated, so an
+# uninstantiated template member is not seen. Both build trees go to the
+# scratch directory (default: a fresh temporary directory, removed on exit);
+# no file in the checkout is written.
 set -euo pipefail
 export LC_ALL=C  # one collation for sort and comm
 
@@ -27,7 +32,7 @@ generator=()
 if command -v ninja >/dev/null 2>&1; then generator=(-G Ninja); fi
 flags=(
   -DCMAKE_BUILD_TYPE=None
-  "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections"
+  "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fkeep-inline-functions"
   "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections"
 )
 jobs="$(nproc)"
@@ -55,12 +60,19 @@ if [[ ${#archives[@]} -eq 0 || ${#programs[@]} -eq 0 ]]; then
   exit 2
 fi
 
-symbols T "${archives[@]}" >"$work/defined.txt"
+# Inline constructors, destructors and assignments are left out: an
+# implicitly declared one is emitted wherever its class is used, even when
+# every use is aggregate initialization or an elided copy.
+{
+  symbols T "${archives[@]}"
+  symbols W "${archives[@]}" |
+    grep -vE '(^|::)([A-Za-z_][A-Za-z0-9_]*)::~?\2\(|::operator=\(' || true
+} | sort -u >"$work/defined.txt"
 symbols TtWw "${programs[@]}" >"$work/called.txt"
 comm -23 "$work/defined.txt" "$work/called.txt" >"$work/unreferenced.txt"
 
 echo "${#archives[@]} archives, ${#programs[@]} executables," \
-  "$(wc -l <"$work/defined.txt") out-of-line wire:: functions"
+  "$(wc -l <"$work/defined.txt") wire:: functions defined in src/"
 if [[ -s "$work/unreferenced.txt" ]]; then
   echo "defined in src/ but in no executable:"
   sed 's/^/  /' "$work/unreferenced.txt"
