@@ -175,29 +175,6 @@ void run_cell(const std::vector<Workload>& workloads,
   }
 }
 
-/// Bitwise run equality over every outcome field the selector could
-/// perturb — the selector-off identity tripwire.
-bool same_run(const sim::RunResult& a, const sim::RunResult& b) {
-  if (a.makespan != b.makespan || a.cost_units != b.cost_units ||
-      a.ready_instance_seconds != b.ready_instance_seconds ||
-      a.busy_slot_seconds != b.busy_slot_seconds ||
-      a.wasted_slot_seconds != b.wasted_slot_seconds ||
-      a.utilization != b.utilization || a.peak_instances != b.peak_instances ||
-      a.task_restarts != b.task_restarts ||
-      a.control_ticks != b.control_ticks ||
-      a.task_records.size() != b.task_records.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.task_records.size(); ++i) {
-    if (a.task_records[i].completed_at != b.task_records[i].completed_at ||
-        a.task_records[i].exec_time != b.task_records[i].exec_time ||
-        a.task_records[i].instance != b.task_records[i].instance) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// The selector-off identity contract, checked run-for-run on both off
 /// shapes (arms == 0 and a pinned default arm): returns nonzero on any
 /// bitwise divergence from plain WIRE.
@@ -218,7 +195,8 @@ int check_selector_off_identity(const std::vector<Workload>& workloads,
       const sim::RunResult pinned =
           run_bandit(workloads[w].wf, sites[s].cloud, fixed_arm(0), seed)
               .result;
-      if (!same_run(reference, off) || !same_run(reference, pinned)) {
+      if (!bench::same_run(reference, off) ||
+          !bench::same_run(reference, pinned)) {
         std::printf("FAIL: selector-off run diverged from plain WIRE on "
                     "%s/%s\n",
                     workloads[w].name.c_str(), sites[s].name.c_str());

@@ -1,6 +1,7 @@
 // Shared helpers for the bench harnesses: output directory handling, the
 // idealized §III-E/§IV-A cloud (1 slot per instance, no variability, control
-// lag small relative to task length and charging unit), and the one writer
+// lag small relative to task length and charging unit), the bitwise run
+// comparison behind the off-switch identity checks, and the one writer
 // behind every study bench's BENCH_<name>.json.
 #pragma once
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "sim/config.h"
+#include "sim/driver.h"
 
 namespace wire::bench {
 
@@ -42,13 +44,36 @@ inline sim::CloudConfig idealized_cloud(double task_seconds,
   return config;
 }
 
+/// Bitwise run equality over every outcome field a passthrough wrapper (a
+/// zero budget, a selector with no arms) could perturb.
+inline bool same_run(const sim::RunResult& a, const sim::RunResult& b) {
+  if (a.makespan != b.makespan || a.cost_units != b.cost_units ||
+      a.ready_instance_seconds != b.ready_instance_seconds ||
+      a.busy_slot_seconds != b.busy_slot_seconds ||
+      a.wasted_slot_seconds != b.wasted_slot_seconds ||
+      a.utilization != b.utilization || a.peak_instances != b.peak_instances ||
+      a.task_restarts != b.task_restarts ||
+      a.control_ticks != b.control_ticks ||
+      a.task_records.size() != b.task_records.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.task_records.size(); ++i) {
+    if (a.task_records[i].completed_at != b.task_records[i].completed_at ||
+        a.task_records[i].exec_time != b.task_records[i].exec_time ||
+        a.task_records[i].instance != b.task_records[i].instance) {
+      return false;
+    }
+  }
+  return true;
+}
+
 class JsonValue;
 /// An ordered (key, value) list: a study header or one cell.
 using JsonFields = std::vector<std::pair<std::string, JsonValue>>;
 
 /// One value of a study record, formatted at construction: strings quoted,
 /// doubles as %.17g (round-trips exactly), unsigned integers in decimal,
-/// bools as true/false, and a field list as a one-line object. Signed
+/// and a field list as a one-line object. Signed
 /// integers have no overload, so a bare literal must name its type.
 class JsonValue {
  public:
@@ -58,7 +83,6 @@ class JsonValue {
   JsonValue(std::uint32_t v) : text_(format("%u", v)) {}
   JsonValue(std::uint64_t v)
       : text_(format("%llu", static_cast<unsigned long long>(v))) {}
-  JsonValue(bool v) : text_(v ? "true" : "false") {}
   JsonValue(const JsonFields& object);
 
   const std::string& text() const { return text_; }

@@ -54,8 +54,8 @@ std::vector<workload::WorkflowProfile> catalogue() {
 }
 
 /// The provisioning yardstick for the memory-bid study: the largest stage
-/// mean peak across the whole catalogue (same convention as bench_memory's
-/// per-profile need).
+/// mean peak across the whole catalogue (same convention as the per-profile
+/// need of bench_studies' memory study).
 double catalogue_need_mb() {
   double need = 0.0;
   for (const workload::WorkflowProfile& profile : catalogue()) {

@@ -1,6 +1,7 @@
-// Study bench: the five comparisons beyond Figs. 5/6, each one exp::Study
-// run through the paired-seed runner, so every variant of a cell runs on the
-// seeds of the study's variant 0 and its paired Δ isolates the variant:
+// Study bench: the eight comparisons beyond Figs. 5/6, each one or more
+// exp::Study run through the paired-seed runner, so every variant of a cell
+// runs on the seeds of the study's variant 0 and its paired Δ isolates the
+// variant:
 //
 //   ablation    WIRE design choices (DESIGN.md) on TPCH-1 L / PageRank L at
 //               u in {1, 15} min, against the paper configuration:
@@ -12,19 +13,35 @@
 //               characterization reference (Juve et al.) profiles but the
 //               paper does not run: Montage, CyberShake, LIGO Inspiral
 //   faults      crash rate x policy on Table-I workflows (30 s revocation
-//               notice); exits 1 if any run leaves a task incomplete or
-//               quarantined. Only crashes are injected, and a crash-killed
-//               attempt retries through the restart path, so none may.
+//               notice)
 //   deadline    the cost of a latency SLO (a Jockey reconstruction): a
 //               deadline sweep with online and history estimates against
 //               plain WIRE (variant 0) at u = 1 min
 //   clustering  horizontal clustering factor x charging unit on Genome S
 //               under WIRE (Fig. 3's lever: clustering lengthens tasks)
+//   memory      instance memory x reservation sizing on Genome S / TPCH-6 S:
+//               OOM-retry churn and reserved MB·s against percentile sizing
+//   checkpoint  checkpoint interval policy x crash rate on PageRank L: waste
+//               (lost work + checkpoint I/O) against no checkpointing
+//   budget      the cost-vs-deadline frontier of a spend ceiling on
+//               Genome S / PageRank L against unconstrained WIRE
 //
 // Each study writes its CSV series and BENCH_<study>.json (per-cell means
 // and the paired Δ against variant 0: mean, stddev, 95% t-interval) to
-// bench_results/.
+// bench_results/. The studies also check the invariants below; the bench
+// prints each violation and exits 1 if there is any.
+//
+//   faults      no run leaves a task incomplete or quarantined (only crashes
+//               are injected, and a crash-killed attempt retries)
+//   memory      reserved >= used > 0 MB·s in every run; every run at 2x
+//               provisioning completes with nothing quarantined; every
+//               under-provisioned (< 1x) cell records an OOM kill
+//   checkpoint  on 8 x 4 x 600 s linear tasks at 2 crashes/h, Young/Daly
+//               commits a checkpoint and wastes less than static-600
+//   budget      a zero budget reproduces plain WIRE run for run, and at a
+//               1.2x budget a looser deadline never costs over 5% more
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -37,6 +54,7 @@
 #include "exp/runner.h"
 #include "exp/settings.h"
 #include "policies/baselines.h"
+#include "policies/budget.h"
 #include "policies/deadline.h"
 #include "predict/history.h"
 #include "sim/driver.h"
@@ -51,6 +69,15 @@
 namespace {
 
 using namespace wire;
+
+/// Checks that failed so far; main exits 1 if there is any.
+std::uint32_t failures = 0;
+
+void check(bool ok, const std::string& what) {
+  if (ok) return;
+  std::printf("FAILED: %s\n", what.c_str());
+  ++failures;
+}
 
 dag::Workflow table1_dag(const workload::WorkflowProfile& profile) {
   return workload::make_workflow(profile, 7);
@@ -73,6 +100,40 @@ struct Result {
   std::vector<exp::StudyCell> cells;
 };
 
+/// A per-run figure of merit.
+using Metric = double (*)(const sim::RunResult&);
+
+/// The mean of `metric` over the runs of a cell.
+double mean_over(const exp::StudyCell& cell, Metric metric) {
+  util::RunningStats stats;
+  for (const sim::RunResult& run : cell.runs) stats.add(metric(run));
+  return stats.mean();
+}
+
+double crashes(const sim::RunResult& r) { return r.instance_crashes; }
+double oom_kills(const sim::RunResult& r) { return r.oom_kills; }
+double reserved_mb_s(const sim::RunResult& r) {
+  return r.mem_reserved_mb_seconds;
+}
+double used_mb_s(const sim::RunResult& r) { return r.mem_used_mb_seconds; }
+double quarantined(const sim::RunResult& r) {
+  return r.quarantined_tasks.size();
+}
+/// Checkpointing's figure of merit: work forfeited at kills plus the slot
+/// time checkpoint writes stall.
+double waste_s(const sim::RunResult& r) {
+  return r.lost_work_seconds + r.checkpoint_io_slot_seconds;
+}
+
+/// A metric a study reports as a paired Δ against variant 0, next to
+/// makespan and cost.
+struct Merit {
+  const char* label;  // table column
+  const char* key;    // JSON key stem
+  Metric metric;
+  int digits;
+};
+
 /// Runs of a cell that left a task incomplete or quarantined.
 std::uint32_t incomplete_runs(const exp::StudyCell& cell) {
   std::uint32_t n = 0;
@@ -87,12 +148,16 @@ std::uint32_t incomplete_runs(const exp::StudyCell& cell) {
 }
 
 /// Prints the paired Δs of a study's results (one or more exp::Study on one
-/// seed root) and writes them to BENCH_<name>.json; the study's own series
-/// is <name>.csv.
-void report(const std::string& name, const std::vector<Result>& results) {
+/// seed root), with `merits` next to makespan and cost, and writes them to
+/// BENCH_<name>.json; the study's own series is <name>.csv.
+void report(const std::string& name, const std::vector<Result>& results,
+            const std::vector<Merit>& merits = {}) {
   util::TextTable table;
-  table.set_header({"workload", "u (min)", "crashes/h", "variant",
-                    "Δ makespan (s)", "Δ cost (units)"});
+  std::vector<std::string> header{"workload", "u (min)", "crashes/h",
+                                  "mem (MB)", "variant", "Δ makespan (s)",
+                                  "Δ cost (units)"};
+  for (const Merit& m : merits) header.push_back(std::string("Δ ") + m.label);
+  table.set_header(std::move(header));
   std::vector<bench::JsonFields> json;
   for (const auto& [study, cells] : results) {
     for (const exp::StudyCell& cell : cells) {
@@ -104,20 +169,35 @@ void report(const std::string& name, const std::vector<Result>& results) {
            {"tasks", static_cast<std::uint64_t>(wf.task_count())},
            {"charging_unit_s", cloud.charging_unit_seconds},
            {"crash_rate_per_hour", cloud.faults.crash_rate_per_hour},
+           {"instance_mem_mb", cloud.memory.instance_mem_mb},
            {"variant", variant},
            {"runs", static_cast<std::uint64_t>(cell.stats.runs())},
            {"makespan_mean_s", cell.stats.makespan_seconds.mean()},
            {"cost_mean_units", cell.stats.cost_units.mean()}});
       if (cell.variant == 0) continue;
-      json.back().emplace_back("makespan_delta_s",
-                               delta_json(cell.makespan_delta));
-      json.back().emplace_back("cost_delta_units", delta_json(cell.cost_delta));
       const exp::PairedDelta& dm = cell.makespan_delta;
       const exp::PairedDelta& dc = cell.cost_delta;
-      table.add_row({wf.name(), util::fmt(cloud.charging_unit_seconds / 60, 0),
-                     util::fmt(cloud.faults.crash_rate_per_hour, 1), variant,
-                     util::fmt_mean_std(dm.mean, dm.half_width, 0),
-                     util::fmt_mean_std(dc.mean, dc.half_width, 1)});
+      json.back().emplace_back("makespan_delta_s", delta_json(dm));
+      json.back().emplace_back("cost_delta_units", delta_json(dc));
+      std::vector<std::string> row{
+          wf.name(), util::fmt(cloud.charging_unit_seconds / 60, 0),
+          util::fmt(cloud.faults.crash_rate_per_hour, 1),
+          util::fmt(cloud.memory.instance_mem_mb, 0), variant,
+          util::fmt_mean_std(dm.mean, dm.half_width, 0),
+          util::fmt_mean_std(dc.mean, dc.half_width, 1)};
+      const exp::StudyCell& base =
+          cells[study.cell_index(cell.workload, cell.cloud, 0)];
+      for (const Merit& m : merits) {
+        std::vector<double> differences;
+        for (std::size_t r = 0; r < cell.runs.size(); ++r) {
+          differences.push_back(m.metric(cell.runs[r]) -
+                                m.metric(base.runs[r]));
+        }
+        const exp::PairedDelta d = exp::paired_delta(differences);
+        json.back().emplace_back(std::string(m.key) + "_delta", delta_json(d));
+        row.push_back(util::fmt_mean_std(d.mean, d.half_width, m.digits));
+      }
+      table.add_row(std::move(row));
     }
   }
   const exp::Study& study = results[0].study;
@@ -291,11 +371,6 @@ std::vector<Result> faults() {
       std::vector<std::string> row{study.variants[p].label};
       for (std::size_t r = 0; r < study.clouds.size(); ++r) {
         const exp::StudyCell& cell = cells[study.cell_index(w, r, p)];
-        util::RunningStats crashes, wasted;
-        for (const sim::RunResult& run : cell.runs) {
-          crashes.add(static_cast<double>(run.instance_crashes));
-          wasted.add(run.wasted_slot_seconds);
-        }
         row.push_back(util::fmt(cell.stats.cost_units.mean(), 0) + "u / " +
                       util::fmt(cell.stats.makespan_seconds.mean(), 0) + "s");
         csv.write_row(
@@ -305,10 +380,16 @@ std::vector<Result> faults() {
              util::fmt(cell.stats.makespan_seconds.mean(), 1),
              util::fmt(cell.stats.makespan_seconds.stddev(), 1),
              util::fmt(cell.stats.cost_units.mean(), 3),
-             util::fmt(crashes.mean(), 2),
+             util::fmt(mean_over(cell, crashes), 2),
              util::fmt(cell.stats.restarts.mean(), 2),
-             util::fmt(wasted.mean(), 1),
+             util::fmt(mean_over(cell, [](const sim::RunResult& run) {
+                         return run.wasted_slot_seconds;
+                       }),
+                       1),
              std::to_string(incomplete_runs(cell))});
+        check(incomplete_runs(cell) == 0,
+              study.workloads[w].name() + " " + study.variants[p].label +
+                  ": a crashing run left a task incomplete or quarantined");
       }
       table.add_row(std::move(row));
     }
@@ -445,23 +526,364 @@ std::vector<Result> clustering() {
   return {{std::move(study), std::move(cells)}};
 }
 
+// --- Memory ------------------------------------------------------------------
+
+std::vector<Result> memory() {
+  using Sizing = sim::MemoryConfig::Sizing;
+  const std::vector<double> factors = {0.5, 0.75, 1.0, 1.5, 2.0};
+  // Variant 0 is the Sizey-style percentile sizer; the oracle books each
+  // task's reference peak times the safety factor, so the noise tail still
+  // OOMs it. Tables and the CSV list mean, percentile, oracle.
+  const std::pair<const char*, Sizing> sizings[] = {
+      {"percentile", Sizing::Percentile}, {"mean", Sizing::Mean},
+      {"oracle", Sizing::Oracle}};
+  std::printf(
+      "Memory provisioning: instance memory x reservation sizing under WIRE "
+      "(u = 15 min, peak noise sigma 0.2, 3 repetitions)\n\n");
+  util::CsvWriter csv(bench::results_dir() + "/memory.csv");
+  csv.write_row({"workflow", "sizing", "provisioning_factor",
+                 "instance_mem_mb", "reps", "makespan_mean_s",
+                 "makespan_stddev_s", "cost_mean_units", "oom_kills_mean",
+                 "reserved_mb_s_mean", "used_mb_s_mean", "wastage_ratio",
+                 "quarantined_mean", "incomplete_runs"});
+  // One study per profile: the capacity scales with its own peaks.
+  std::vector<Result> results;
+  for (const workload::WorkflowProfile& profile :
+       {workload::epigenomics_profile(workload::Scale::Small),
+        workload::tpch6_profile(workload::Scale::Small)}) {
+    auto& [study, cells] = results.emplace_back();
+    study.workloads = {table1_dag(profile)};
+    // Factor f gives each slot f times the largest stage mean peak, so
+    // f = 1 fits the average heavy task with no room for the noise tail.
+    double need = 0.0;
+    for (const workload::StageProfile& stage : profile.stages) {
+      need = std::max(need, stage.mean_peak_mem_mb);
+    }
+    for (double f : factors) {
+      sim::CloudConfig cloud = exp::paper_cloud(900.0);
+      cloud.memory.instance_mem_mb = f * need * cloud.slots_per_instance;
+      cloud.memory.noise_sigma = 0.2;
+      study.clouds.push_back(cloud);
+    }
+    for (const auto& [label, sizing] : sizings) {
+      study.variants.push_back(
+          {label, [] { return exp::make_policy(exp::PolicyKind::Wire); },
+           [sizing = sizing](sim::CloudConfig& cloud, sim::RunOptions&) {
+             cloud.memory.sizing = sizing;
+           }});
+    }
+    study.seed_root = 3307;
+    cells = study.run();
+
+    util::TextTable table;
+    std::vector<std::string> header{"sizing \\ provisioning"};
+    for (double f : factors) header.push_back(util::fmt(f, 2) + "x");
+    table.set_header(std::move(header));
+    for (std::size_t v : {1, 0, 2}) {
+      const std::string& sizing = study.variants[v].label;
+      std::vector<std::string> row{sizing};
+      for (std::size_t f = 0; f < factors.size(); ++f) {
+        const exp::StudyCell& cell = cells[study.cell_index(0, f, v)];
+        const double ooms = mean_over(cell, oom_kills);
+        const double reserved = mean_over(cell, reserved_mb_s);
+        const double used = mean_over(cell, used_mb_s);
+        const double wastage = used > 0.0 ? reserved / used : 0.0;
+        row.push_back(util::fmt(ooms, 0) + " ooms / " +
+                      util::fmt(wastage, 2) + "x");
+        csv.write_row(
+            {profile.name, sizing, util::fmt(factors[f], 2),
+             util::fmt(study.clouds[f].memory.instance_mem_mb, 1),
+             std::to_string(study.repetitions),
+             util::fmt(cell.stats.makespan_seconds.mean(), 1),
+             util::fmt(cell.stats.makespan_seconds.stddev(), 1),
+             util::fmt(cell.stats.cost_units.mean(), 3),
+             util::fmt(ooms, 2), util::fmt(reserved, 1), util::fmt(used, 1),
+             util::fmt(wastage, 4),
+             util::fmt(mean_over(cell, quarantined), 2),
+             std::to_string(incomplete_runs(cell))});
+        const std::string where = profile.name + " " + sizing + " at " +
+                                  util::fmt(factors[f], 2) + "x";
+        for (const sim::RunResult& run : cell.runs) {
+          check(run.mem_reserved_mb_seconds >= run.mem_used_mb_seconds &&
+                    run.mem_used_mb_seconds > 0.0,
+                where + ": reserved < used MB·s, or none used");
+        }
+        check(factors[f] < 2.0 || incomplete_runs(cell) == 0,
+              where + ": ample memory stranded a task");
+        check(factors[f] >= 1.0 || ooms > 0.0, where + ": no OOM kill");
+      }
+      table.add_row(std::move(row));
+    }
+    std::printf("%s — OOM kills / reserved:used MB·s vs provisioning\n%s\n",
+                profile.name.c_str(), table.render().c_str());
+  }
+  return results;
+}
+
+// --- Checkpointing -----------------------------------------------------------
+
+/// A 256 MB image over a 256 MB/s channel: a 1 s write cost, so the
+/// Young/Daly interval at crash rate λ per hour is sqrt(2 · 3600 / λ) s.
+constexpr double kChannelMbPerS = 256.0;
+const std::vector<double> kStaticIntervals = {60.0,  120.0,  300.0,
+                                              600.0, 1200.0, 2400.0};
+// Variant indices of checkpoint_study(): the static intervals run from
+// kFirstStatic to kYoungDaly - 1.
+constexpr std::size_t kNone = 0, kLegacy = 1, kFirstStatic = 2, kStatic600 = 5,
+                      kYoungDaly = 8;
+
+/// WIRE on `wf` at u = 1 min, one cloud per crash rate. Variants: no
+/// checkpointing (0), the legacy 0.5 salvage fraction (1), each static
+/// interval (2 .. 7) and Young/Daly (8).
+exp::Study checkpoint_study(dag::Workflow wf, const std::vector<double>& rates,
+                            std::uint32_t repetitions) {
+  using IntervalPolicy = sim::CheckpointConfig::IntervalPolicy;
+  exp::Study study;
+  study.workloads = {std::move(wf)};
+  for (double rate : rates) {
+    sim::CloudConfig cloud = exp::paper_cloud(60.0);
+    cloud.faults.crash_rate_per_hour = rate;
+    study.clouds.push_back(cloud);
+  }
+  const auto wire = [] { return exp::make_policy(exp::PolicyKind::Wire); };
+  study.variants = {{"none", wire, nullptr},
+                    {"legacy-0.5", wire,
+                     [](sim::CloudConfig& cloud, sim::RunOptions&) {
+                       cloud.checkpoint_fraction = 0.5;
+                     }}};
+  for (double interval : kStaticIntervals) {
+    study.variants.push_back(
+        {"static-" + util::fmt(interval, 0), wire,
+         [interval](sim::CloudConfig& cloud, sim::RunOptions&) {
+           cloud.checkpoint.channel_bandwidth_mb_per_s = kChannelMbPerS;
+           cloud.checkpoint.interval_policy = IntervalPolicy::Static;
+           cloud.checkpoint.static_interval_seconds = interval;
+         }});
+  }
+  // The hazard prior starts at the cell's true crash rate with a heavy
+  // weight: the study measures the interval policy, not estimator burn-in
+  // (the convergence tests cover that).
+  study.variants.push_back(
+      {"young-daly", wire, [](sim::CloudConfig& cloud, sim::RunOptions&) {
+         cloud.checkpoint.channel_bandwidth_mb_per_s = kChannelMbPerS;
+         cloud.checkpoint.interval_policy = IntervalPolicy::YoungDaly;
+         cloud.checkpoint.hazard_prior_per_hour =
+             cloud.faults.crash_rate_per_hour;
+         cloud.checkpoint.hazard_prior_weight_hours = 10.0;
+       }});
+  study.repetitions = repetitions;
+  study.seed_root = 717;
+  return study;
+}
+
+double checkpoints_completed(const sim::RunResult& r) {
+  return r.checkpoints_completed;
+}
+
+/// checkpoint.csv's per-run columns, each a mean over the cell's runs.
+const std::pair<Metric, int> kCheckpointColumns[] = {
+    {[](const sim::RunResult& r) { return r.makespan; }, 1},
+    {[](const sim::RunResult& r) { return r.cost_units; }, 3},
+    {[](const sim::RunResult& r) -> double { return r.task_restarts; }, 2},
+    {crashes, 2},
+    {[](const sim::RunResult& r) { return r.lost_work_seconds; }, 1},
+    {[](const sim::RunResult& r) { return r.checkpoint_io_slot_seconds; }, 1},
+    {waste_s, 1},
+    {checkpoints_completed, 2},
+    {[](const sim::RunResult& r) -> double { return r.checkpoints_lost; }, 2}};
+
+std::vector<Result> checkpoint() {
+  const std::vector<double> rates = {0.1, 0.5, 2.0};
+  exp::Study study = checkpoint_study(
+      table1_dag(workload::pagerank_profile(workload::Scale::Large)), rates,
+      5);
+  auto cells = study.run();
+  std::printf(
+      "Checkpoint intervals: PageRank L under WIRE, u = 1 min, 1 s write "
+      "cost, 5 repetitions; waste = lost work + checkpoint I/O\n\n");
+
+  util::CsvWriter csv(bench::results_dir() + "/checkpoint.csv");
+  csv.write_row({"study", "policy", "crash_rate_per_hour",
+                 "static_interval_s", "reps", "makespan_mean_s",
+                 "cost_mean_units", "restarts_mean", "crashes_mean",
+                 "lost_work_s_mean", "ckpt_io_s_mean", "waste_s_mean",
+                 "ckpts_completed_mean", "ckpts_lost_mean"});
+  const auto write = [&](const char* series, std::size_t r, std::size_t v) {
+    const bool fixed = v >= kFirstStatic && v < kYoungDaly;
+    std::vector<std::string> row{
+        series, fixed ? "static" : study.variants[v].label,
+        util::fmt(rates[r], 2),
+        util::fmt(fixed ? kStaticIntervals[v - kFirstStatic] : 0.0, 1),
+        std::to_string(study.repetitions)};
+    for (const auto& [metric, digits] : kCheckpointColumns) {
+      row.push_back(util::fmt(
+          mean_over(cells[study.cell_index(0, r, v)], metric), digits));
+    }
+    csv.write_row(row);
+  };
+  // The rate table's interval policies, then the static-interval sweep
+  // through the Young/Daly point at every rate (the waste-vs-interval
+  // U-curve: too short burns I/O, too long forfeits work).
+  for (std::size_t r = 0; r < rates.size(); ++r) {
+    for (std::size_t v : {kNone, kLegacy, kStatic600, kYoungDaly}) {
+      write("policy_x_rate", r, v);
+    }
+  }
+  for (std::size_t r = 0; r < rates.size(); ++r) {
+    for (std::size_t v = kFirstStatic; v <= kYoungDaly; ++v) {
+      write("interval_sweep", r, v);
+    }
+  }
+
+  util::TextTable table;
+  std::vector<std::string> header{"policy \\ crash rate"};
+  for (double rate : rates) header.push_back(util::fmt(rate, 1) + "/h");
+  table.set_header(std::move(header));
+  for (std::size_t v = 0; v < study.variants.size(); ++v) {
+    std::vector<std::string> row{study.variants[v].label};
+    for (std::size_t r = 0; r < rates.size(); ++r) {
+      const exp::StudyCell& cell = cells[study.cell_index(0, r, v)];
+      row.push_back(
+          util::fmt(mean_over(cell, waste_s), 0) + "s / " +
+          util::fmt(mean_over(cell, checkpoints_completed), 1) + " / " +
+          util::fmt(cell.stats.makespan_seconds.mean(), 0) + "s");
+    }
+    table.add_row(std::move(row));
+  }
+  std::printf("%s(cells: waste / checkpoints / makespan)\n\n",
+              table.render().c_str());
+
+  // The tripwire: 32 x 600 s tasks at 2 crashes/h. Young/Daly checkpoints
+  // about every 60 s; static-600 barely checkpoints inside a task, so nearly
+  // every crash forfeits a task's whole progress.
+  exp::Study linear =
+      checkpoint_study(workload::linear_workflow(8, 4, 600.0), {2.0}, 3);
+  auto linear_cells = linear.run();
+  const exp::StudyCell& yd = linear_cells[kYoungDaly];
+  check(mean_over(yd, checkpoints_completed) > 0.0,
+        "linear tripwire: young-daly committed no checkpoint");
+  check(mean_over(yd, waste_s) < mean_over(linear_cells[kStatic600], waste_s),
+        "linear tripwire: young-daly wasted no less than static-600");
+  return {{std::move(study), std::move(cells)},
+          {std::move(linear), std::move(linear_cells)}};
+}
+
+// --- Budget ------------------------------------------------------------------
+
+std::vector<Result> budget() {
+  const std::vector<double> scales = {0.7, 1.0, 1.4},
+                            slacks = {1.25, 1.75, 2.5, 3.5};
+  // A column at an ample budget, checked for a monotone frontier.
+  constexpr double kAmple = 1.2;
+  const std::vector<double> ample_slacks = {1.5, 2.5, 4.0};
+  std::printf(
+      "Budget sweep: cost-vs-deadline Pareto frontier under a spend ceiling "
+      "(u = 1 min, deadline-aware pacing, 3 repetitions)\n\n");
+  const std::vector<std::string> csv_header{
+      "workload",        "budget_units", "deadline_s",       "cost_mean",
+      "makespan_mean_s", "slo_met",      "over_budget_mean", "peak_mean"};
+  util::CsvWriter csv(bench::results_dir() + "/budget.csv");
+  csv.write_row(csv_header);
+  // One study per workload: budgets and deadlines scale with its probe.
+  std::vector<Result> results;
+  for (const workload::WorkflowProfile& profile :
+       {workload::epigenomics_profile(workload::Scale::Small),
+        workload::pagerank_profile(workload::Scale::Large)}) {
+    auto& [study, cells] = results.emplace_back();
+    study.workloads = {table1_dag(profile)};
+    study.clouds = {exp::paper_cloud(60.0)};
+    study.seed_root = 911;
+    // An unconstrained WIRE probe run sets the budget and deadline scales.
+    const auto wire = exp::make_policy(exp::PolicyKind::Wire);
+    const sim::RunResult probe =
+        sim::simulate(study.workloads[0], *wire, study.clouds[0],
+                      {util::derive_seed(911, 0)});
+    // Variant 0 is plain WIRE, then the scale x slack grid, the ample
+    // column and a zero budget; budgets[v] is variant v's.
+    std::vector<policies::BudgetOptions> budgets(1);
+    study.variants = {exp::policy_variant(exp::PolicyKind::Wire)};
+    const auto add = [&](const std::string& label,
+                         const policies::BudgetOptions& options) {
+      budgets.push_back(options);
+      study.variants.push_back(
+          {label,
+           [options] {
+             return std::make_unique<policies::BudgetPolicy>(
+                 exp::make_policy(exp::PolicyKind::Wire), options);
+           },
+           nullptr});
+    };
+    const auto add_paced = [&](double scale, double slack) {
+      add(util::fmt(scale, 1) + "x/" + util::fmt(slack, 2) + "x",
+          {std::ceil(scale * probe.cost_units),
+           policies::BudgetMode::kDeadlineAware, slack * probe.makespan});
+    };
+    for (double scale : scales) {
+      for (double slack : slacks) add_paced(scale, slack);
+    }
+    const std::size_t ample = study.variants.size();
+    for (double slack : ample_slacks) add_paced(kAmple, slack);
+    add("budget-off", {});
+    cells = study.run();
+
+    // The grid and plain WIRE, one row each on screen and in the CSV.
+    util::TextTable table;
+    table.set_header(csv_header);
+    for (std::size_t v = 0; v < ample; ++v) {
+      const policies::BudgetOptions& b = budgets[v];
+      std::uint32_t met = 0;
+      double over = 0.0;
+      for (const sim::RunResult& run : cells[v].runs) {
+        met += b.deadline_seconds <= 0.0 || run.makespan <= b.deadline_seconds;
+        if (b.budget_units > 0.0) {
+          over += std::max(0.0, run.cost_units - b.budget_units) /
+                  study.repetitions;
+        }
+      }
+      const metrics::CellStats& stats = cells[v].stats;
+      const std::vector<std::string> row{
+          profile.name, util::fmt(b.budget_units, 2),
+          util::fmt(b.deadline_seconds, 1),
+          util::fmt(stats.cost_units.mean(), 3),
+          util::fmt(stats.makespan_seconds.mean(), 1),
+          util::fmt(static_cast<double>(met) / study.repetitions, 2),
+          util::fmt(over, 3), util::fmt(stats.peak_instances.mean(), 2)};
+      table.add_row(row);
+      csv.write_row(row);
+    }
+    std::printf("%s (probe: cost %.1f units, makespan %.0f s)\n%s\n",
+                profile.name.c_str(), probe.cost_units, probe.makespan,
+                table.render().c_str());
+
+    for (std::size_t r = 0; r < study.repetitions; ++r) {
+      check(bench::same_run(cells[0].runs[r], cells.back().runs[r]),
+            "a zero-budget run diverged from plain WIRE on " + profile.name);
+    }
+    for (std::size_t v = ample + 1; v < ample + ample_slacks.size(); ++v) {
+      check(cells[v].stats.cost_units.mean() <=
+                cells[v - 1].stats.cost_units.mean() * 1.05,
+            "the 1.2x budget frontier is not monotone on " + profile.name +
+                " at " + study.variants[v].label);
+    }
+  }
+  return results;
+}
+
 }  // namespace
 
 int main() {
   report("ablation", ablation());
   report("generalize", generalize());
-  const std::vector<Result> fault_study = faults();
-  report("faults", fault_study);
+  report("faults", faults());
   report("deadline", deadline());
   report("clustering", clustering());
-  std::uint32_t stranded = 0;
-  for (const exp::StudyCell& cell : fault_study[0].cells) {
-    stranded += incomplete_runs(cell);
-  }
-  if (stranded > 0) {
-    std::printf("FAILED: %u fault-study runs left a task incomplete or "
-                "quarantined\n",
-                stranded);
+  report("memory", memory(),
+         {{"OOM kills", "oom_kills", oom_kills, 1},
+          {"reserved MB·s", "reserved_mb_s", reserved_mb_s, 0}});
+  report("checkpoint", checkpoint(), {{"waste (s)", "waste_s", waste_s, 0}});
+  report("budget", budget());
+  if (failures > 0) {
+    std::printf("FAILED: %u checks\n", failures);
     return 1;
   }
   return 0;

@@ -10,7 +10,7 @@
 // estimate (no prior, no crash observed yet) pushes the interval to
 // infinity, so a reliable cloud never checkpoints; the Static policy is the
 // ablation against which the hazard-driven interval must win on total waste
-// (bench_checkpoint).
+// (the checkpoint study of bench_studies).
 //
 // Everything here is arithmetic over observed events — no RNG draws — which
 // is what makes scheduled-checkpoint runs bit-replayable from a recorded

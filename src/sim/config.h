@@ -240,8 +240,8 @@ struct CloudConfig {
   /// progress salvaged by checkpointing when it restarts (0 = none, the
   /// paper's model; 1 = perfect resume). Salvage reduces the next attempt's
   /// execution time; the steering policies discount restart costs by the
-  /// same fraction. bench_checkpoint studies the interaction with the
-  /// restart-cost threshold.
+  /// same fraction. The checkpoint study of bench_studies runs 0.5 as its
+  /// legacy arm.
   double checkpoint_fraction = 0.0;
 
   /// Scheduled checkpointing on a shared channel (bandwidth 0 = off). When

@@ -79,7 +79,8 @@ struct RunResult {
   /// and lost writes both) — the overhead half of the waste metric.
   double checkpoint_io_slot_seconds = 0.0;
   /// Executed seconds destroyed by kills net of salvage — the lost-work half
-  /// of the waste metric (bench_checkpoint minimizes their sum).
+  /// of the waste metric (the checkpoint study of bench_studies reports
+  /// their sum).
   double lost_work_seconds = 0.0;
 
   // --- Memory dimension (all zero when MemoryConfig is off) ---

@@ -3,14 +3,19 @@
 // The framework master books a memory reservation against instance capacity
 // for every dispatched task. Sizing follows the Ponder / Sizey line of work:
 // a statistical estimate over the peaks observed so far (mean or percentile,
-// or the ground-truth oracle for the wastage floor), a safety-factor of
-// headroom, and selective upsizing — a task that was OOM-killed books
+// or the oracle's noise-free reference peak), a safety-factor of headroom,
+// and selective upsizing — a task that was OOM-killed books
 // `upsize_factor^oom_attempts` times the estimate on its next attempt.
 //
 // The statistical core (`sized_from_history`) is shared with the
 // controller-side predict::MemoryPredictor so both sides size identically
 // from identical histories; they differ only in *when* they observe peaks
 // (the engine at completion events, the controller at control ticks).
+//
+// The oracle is no wastage floor once peaks are noisy: it books the reference
+// peak times the safety factor, so with lognormal noise σ = 0.2 and the
+// default 1.1 margin about 30% of true peaks exceed the reservation (~130 OOM
+// kills per Genome S run in the memory study of bench_studies).
 #pragma once
 
 #include <cstdint>

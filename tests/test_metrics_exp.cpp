@@ -149,6 +149,59 @@ TEST(Study, VariantsArePairedOnTheSameSeeds) {
   }
 }
 
+TEST(Study, ConfigureEditsOnlyItsOwnRunCopy) {
+  // Variant 1 edits its cloud (a crash rate); variant 2 is variant 0 again.
+  // If the edit leaked into the study's cloud or another variant's run,
+  // variant 2 would drift from variant 0, and variant 0 from a study that
+  // never had variant 1.
+  exp::Study study;
+  study.workloads = {tpch6_small()};
+  study.clouds = {exp::paper_cloud(60.0), exp::paper_cloud(900.0)};
+  exp::Variant crashy = exp::policy_variant(exp::PolicyKind::Wire);
+  crashy.configure = [](sim::CloudConfig& cloud, sim::RunOptions&) {
+    cloud.faults.crash_rate_per_hour = 30.0;
+  };
+  study.variants = {exp::policy_variant(exp::PolicyKind::Wire), crashy,
+                    exp::policy_variant(exp::PolicyKind::Wire)};
+  study.repetitions = 3;
+  const auto cells = study.run();
+  exp::Study without = study;
+  without.variants.erase(without.variants.begin() + 1);
+  const auto reference = without.run();
+  std::uint32_t crashes = 0;
+  for (std::size_t c = 0; c < study.clouds.size(); ++c) {
+    for (const sim::RunResult& run : cells[study.cell_index(0, c, 1)].runs) {
+      crashes += run.instance_crashes;
+    }
+    const exp::StudyCell& copy = cells[study.cell_index(0, c, 2)];
+    for (const exp::PairedDelta& d : {copy.makespan_delta, copy.cost_delta}) {
+      EXPECT_EQ(d.mean, 0.0);
+      EXPECT_EQ(d.half_width, 0.0);
+    }
+    const exp::StudyCell& base = cells[study.cell_index(0, c, 0)];
+    const exp::StudyCell& alone = reference[without.cell_index(0, c, 0)];
+    ASSERT_EQ(base.runs.size(), alone.runs.size());
+    for (std::size_t r = 0; r < base.runs.size(); ++r) {
+      const sim::RunResult& a = base.runs[r];
+      const sim::RunResult& b = alone.runs[r];
+      EXPECT_EQ(a.instance_crashes, 0u);
+      EXPECT_EQ(a.makespan, b.makespan);
+      EXPECT_EQ(a.cost_units, b.cost_units);
+      EXPECT_EQ(a.busy_slot_seconds, b.busy_slot_seconds);
+      EXPECT_EQ(a.ready_instance_seconds, b.ready_instance_seconds);
+      EXPECT_EQ(a.control_ticks, b.control_ticks);
+      ASSERT_EQ(a.task_records.size(), b.task_records.size());
+      for (std::size_t t = 0; t < a.task_records.size(); ++t) {
+        EXPECT_EQ(a.task_records[t].completed_at,
+                  b.task_records[t].completed_at);
+        EXPECT_EQ(a.task_records[t].instance, b.task_records[t].instance);
+      }
+    }
+  }
+  // The edit took effect in variant 1's own runs.
+  EXPECT_GT(crashes, 0u);
+}
+
 TEST(Study, PairedDeltaIsAStudentTInterval) {
   const exp::PairedDelta d = exp::paired_delta({1.0, 2.0, 3.0, 4.0});
   EXPECT_DOUBLE_EQ(d.mean, 2.5);

@@ -1,12 +1,22 @@
 // Tests for the checkpointing extension: salvage bookkeeping, shortened
-// re-execution, and the restart-cost discount in the steering policies.
+// re-execution, the restart-cost discount in the steering policies, and the
+// checkpoint-off goldens.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "core/controller.h"
 #include "core/steering.h"
+#include "ensemble/driver.h"
+#include "ensemble/report.h"
+#include "exp/settings.h"
 #include "policies/baselines.h"
 #include "sim/driver.h"
 #include "sim/framework.h"
+#include "util/rng.h"
 #include "workload/generators.h"
+#include "workload/profiles.h"
 
 namespace wire::sim {
 namespace {
@@ -140,6 +150,106 @@ TEST(Checkpoint, SteeringDiscountsRestartCosts) {
   only_busy.instances.push_back(clone);
   const PoolCommand shrink = core::steer(lookahead, only_busy, config);
   ASSERT_EQ(shrink.releases.size(), 1u);  // a busy instance IS releasable now
+}
+
+// Four canonical checkpoint-off cells, digests captured on the build just
+// before the checkpoint scheduling subsystem landed. With
+// CheckpointConfig::enabled() false everywhere below, the engine must
+// reproduce these bytes exactly; any drift means the subsystem leaked into
+// the baseline simulation.
+constexpr std::uint64_t kGoldenSeedRoot = 717;
+
+std::string digest_run(const char* name, const RunResult& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "%s makespan=%a cost=%a busy=%a wasted=%a ready=%a "
+                "restarts=%u faults=%u crashes=%u oom=%u",
+                name, r.makespan, r.cost_units, r.busy_slot_seconds,
+                r.wasted_slot_seconds, r.ready_instance_seconds,
+                r.task_restarts, r.task_faults, r.instance_crashes,
+                r.oom_kills);
+  return buf;
+}
+
+RunResult wire_run(const dag::Workflow& wf, const CloudConfig& config,
+                   std::uint64_t stream) {
+  core::WireController controller;
+  RunOptions options;
+  options.seed = util::derive_seed(kGoldenSeedRoot, stream);
+  options.initial_instances = 1;
+  return simulate(wf, controller, config, options);
+}
+
+dag::Workflow pagerank_large() {
+  return workload::make_workflow(
+      workload::pagerank_profile(workload::Scale::Large), 7);
+}
+
+TEST(CheckpointOffGolden, Quiet) {
+  EXPECT_EQ(digest_run("quiet",
+                       wire_run(pagerank_large(), exp::paper_cloud(60.0), 0)),
+            "quiet makespan=0x1.e7fb05c36087cp+11 cost=0x1.e2p+7 "
+            "busy=0x1.c58615098a2dbp+14 wasted=0x0p+0 "
+            "ready=0x1.bcdb05c36087cp+13 "
+            "restarts=0 faults=0 crashes=0 oom=0");
+}
+
+TEST(CheckpointOffGolden, LegacyFractionUnderFaults) {
+  CloudConfig config = exp::paper_cloud(60.0);
+  config.checkpoint_fraction = 0.5;
+  config.faults.crash_rate_per_hour = 2.0;
+  config.faults.task_failure_prob = 0.05;
+  EXPECT_EQ(digest_run("legacy_faults",
+                       wire_run(pagerank_large(), config, 11)),
+            "legacy_faults makespan=0x1.10928f149de01p+12 cost=0x1.cep+7 "
+            "busy=0x1.ba54178951969p+14 wasted=0x1.0274b03983fafp+11 "
+            "ready=0x1.ac7a3f46fc22cp+13 restarts=20 faults=14 crashes=6 "
+            "oom=0");
+}
+
+TEST(CheckpointOffGolden, MemoryAndFaults) {
+  const dag::Workflow wf = workload::make_workflow(
+      workload::epigenomics_profile(workload::Scale::Small), 3);
+  CloudConfig config = exp::paper_cloud(900.0);
+  config.memory.instance_mem_mb = 4096.0;
+  config.memory.noise_sigma = 0.2;
+  config.faults.crash_rate_per_hour = 1.0;
+  EXPECT_EQ(digest_run("memory_faults", wire_run(wf, config, 22)),
+            "memory_faults makespan=0x1.869cf4e947085p+12 cost=0x1.2p+3 "
+            "busy=0x1.326af3cae10c2p+13 wasted=0x1.159c2f6794604p+10 "
+            "ready=0x1.deed1f9545b4ap+12 restarts=2 faults=0 crashes=2 "
+            "oom=35");
+}
+
+TEST(CheckpointOffGolden, DemandWeightedEnsemble) {
+  ensemble::PoissonArrivalConfig stream;
+  stream.mean_interarrival_seconds = 300.0;
+  stream.job_count = 50;
+  stream.seed = 1905;
+  const std::vector<workload::WorkflowProfile> profiles = {
+      workload::tpch1_profile(workload::Scale::Small),
+      workload::tpch6_profile(workload::Scale::Small),
+      workload::pagerank_profile(workload::Scale::Small),
+      workload::epigenomics_profile(workload::Scale::Small)};
+  const CloudConfig site = exp::paper_cloud(900.0);
+  ensemble::EnsembleOptions options;
+  options.strategy = ensemble::ArbiterStrategy::DemandWeighted;
+  options.site_cap = site.max_instances;
+  ensemble::EnsembleDriver driver(
+      profiles, ensemble::ArrivalProcess::poisson(stream, profiles.size()),
+      exp::sharded_policy_factory(exp::PolicyKind::Wire), site, options);
+  const ensemble::EnsembleReport report = driver.run();
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "ensemble slowdown_mean=%a slowdown_max=%a cost=%a util=%a "
+                "tput=%a",
+                report.mean_slowdown, report.max_slowdown,
+                report.total_cost_units, report.site_utilization,
+                report.throughput_jobs_per_hour);
+  EXPECT_EQ(std::string(buf),
+            "ensemble slowdown_mean=0x1.09903ce5fdb31p+0 "
+            "slowdown_max=0x1.43103c1c64d77p+0 cost=0x1.b4p+6 "
+            "util=0x1.2d30e57586034p-2 tput=0x1.4af5ecc80ac16p+3");
 }
 
 }  // namespace
